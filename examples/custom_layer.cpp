@@ -8,8 +8,9 @@
 //  1. SerialSwishLayer implements only the serial loops (Algorithms 2/3).
 //     The framework's default falls back to serial code inside an otherwise
 //     parallel net — everything still works, other layers still scale.
-//  2. SwishLayer adds the coarse-grain path: ONE coalesced omp-for per pass
-//     (Algorithm 4), no data-layout redesign, no kernel writing.
+//  2. SwishLayer adds the coarse-grain path: ONE region-helper call per
+//     pass around the serial loop body (Algorithm 4), no data-layout
+//     redesign, no kernel writing, no OpenMP in sight.
 // The example trains a net with each variant and cross-checks the losses.
 #include <cmath>
 #include <iostream>
@@ -18,6 +19,7 @@
 #include "cgdnn/layers/layer.hpp"
 #include "cgdnn/net/models.hpp"
 #include "cgdnn/parallel/context.hpp"
+#include "cgdnn/parallel/region.hpp"
 #include "cgdnn/solvers/solver.hpp"
 
 namespace {
@@ -63,8 +65,9 @@ class SerialSwishLayer : public Layer<Dtype> {
   }
 };
 
-/// The "parallelized by one pragma" version: identical math, and the
-/// coarse-grain override is literally the serial loop with an omp-for.
+/// The "parallelized by one helper call" version: identical math, and the
+/// coarse-grain override is literally the serial loop body handed to the
+/// region helper, which splits the elements statically across threads.
 template <typename Dtype>
 class SwishLayer : public SerialSwishLayer<Dtype> {
  public:
@@ -76,12 +79,9 @@ class SwishLayer : public SerialSwishLayer<Dtype> {
                             const std::vector<Blob<Dtype>*>& top) override {
     const Dtype* x = bottom[0]->cpu_data();
     Dtype* y = top[0]->mutable_cpu_data();
-    const index_t count = bottom[0]->count();
-#pragma omp parallel for num_threads(parallel::Parallel::ResolveThreads()) \
-    schedule(static)
-    for (index_t i = 0; i < count; ++i) {
-      y[i] = x[i] * this->Sigmoid(x[i]);
-    }
+    parallel::ForEachElement(
+        this->layer_param_.name + ".forward", bottom[0]->count(), y,
+        "top.data", [&](index_t i) { y[i] = x[i] * this->Sigmoid(x[i]); });
   }
   void Backward_cpu_parallel(const std::vector<Blob<Dtype>*>& top,
                              const std::vector<bool>& propagate_down,
@@ -90,13 +90,12 @@ class SwishLayer : public SerialSwishLayer<Dtype> {
     const Dtype* x = bottom[0]->cpu_data();
     const Dtype* dy = top[0]->cpu_diff();
     Dtype* dx = bottom[0]->mutable_cpu_diff();
-    const index_t count = bottom[0]->count();
-#pragma omp parallel for num_threads(parallel::Parallel::ResolveThreads()) \
-    schedule(static)
-    for (index_t i = 0; i < count; ++i) {
-      const Dtype s = this->Sigmoid(x[i]);
-      dx[i] = dy[i] * (s + x[i] * s * (Dtype(1) - s));
-    }
+    parallel::ForEachElement(this->layer_param_.name + ".backward",
+                             bottom[0]->count(), dx, "bottom.diff",
+                             [&](index_t i) {
+                               const Dtype s = this->Sigmoid(x[i]);
+                               dx[i] = dy[i] * (s + x[i] * s * (Dtype(1) - s));
+                             });
   }
 };
 
@@ -145,7 +144,7 @@ int main() {
   std::cout << "serial-only custom layer inside a 4-thread net, final loss: "
             << serial_only << "\n";
   const float parallel_ver = TrainWithActivation("Swish", 4);
-  std::cout << "one-pragma parallel custom layer,      final loss: "
+  std::cout << "one-call parallel custom layer,        final loss: "
             << parallel_ver << "\n";
   const float reference = TrainWithActivation("Swish", 1);
   std::cout << "serial reference,                      final loss: "

@@ -1,13 +1,24 @@
 #include "cgdnn/layers/batch_norm_layer.hpp"
 
-#include <omp.h>
-
 #include <cmath>
 
-#include "cgdnn/parallel/coalesce.hpp"
-#include "cgdnn/parallel/instrument.hpp"
+#include "cgdnn/parallel/region.hpp"
 
 namespace cgdnn {
+
+namespace {
+// The channel partition's writes are strided: one slab per sample covering
+// the chunk's channels.
+void DeclareChannelSlabs(const parallel::Chunk& c, const void* blob,
+                         const char* name, index_t num, index_t channels,
+                         index_t spatial) {
+  if (!c.checking()) return;
+  for (index_t n = 0; n < num; ++n) {
+    c.Wrote(blob, name, (n * channels + c.begin) * spatial,
+            (n * channels + c.end) * spatial);
+  }
+}
+}  // namespace
 
 template <typename Dtype>
 void BatchNormLayer<Dtype>::LayerSetUp(const std::vector<Blob<Dtype>*>& bottom,
@@ -127,29 +138,14 @@ void BatchNormLayer<Dtype>::Forward_cpu_parallel(
   Dtype* y = top[0]->mutable_cpu_data();
   Dtype* mean = mean_.mutable_cpu_data();      // resolved before the region
   Dtype* inv_std = inv_std_.mutable_cpu_data();
-  const int nthreads = parallel::Parallel::ResolveThreads();
-  parallel::RegionStats rstats(this->layer_param_.name + ".forward",
-                               nthreads);
-  check::WriteSetChecker* chk = rstats.checker();
-#pragma omp parallel num_threads(nthreads)
-  {
-    const int tid = omp_get_thread_num();
-    parallel::ThreadRegionScope rscope(rstats, tid);
-    const auto range =
-        parallel::StaticChunk(channels_, omp_get_num_threads(), tid);
-    ForwardChannels(x, y, mean, inv_std, range.begin, range.end);
-    if (chk != nullptr && range.size() > 0) {
-      chk->RecordWrite(tid, mean, "mean", range.begin, range.end);
-      chk->RecordWrite(tid, inv_std, "inv_std", range.begin, range.end);
-      // The channel partition's writes to y are strided: one slab per
-      // sample covering this thread's channel chunk.
-      for (index_t n = 0; n < num_; ++n) {
-        chk->RecordWrite(tid, y, "top.data",
-                         (n * channels_ + range.begin) * spatial_,
-                         (n * channels_ + range.end) * spatial_);
-      }
-    }
-  }
+  parallel::ForEachChunk(
+      this->layer_param_.name + ".forward", channels_,
+      [&](const parallel::Chunk& c) {
+        ForwardChannels(x, y, mean, inv_std, c.begin, c.end);
+        c.Wrote(mean, "mean", c.begin, c.end);
+        c.Wrote(inv_std, "inv_std", c.begin, c.end);
+        DeclareChannelSlabs(c, y, "top.data", num_, channels_, spatial_);
+      });
   if (!use_global_stats_) UpdateRunningStats();
 }
 
@@ -217,25 +213,12 @@ void BatchNormLayer<Dtype>::Backward_cpu_parallel(
   const Dtype* x = bottom[0]->cpu_data();
   const Dtype* dy = top[0]->cpu_diff();
   Dtype* dx = bottom[0]->mutable_cpu_diff();
-  const int nthreads = parallel::Parallel::ResolveThreads();
-  parallel::RegionStats rstats(this->layer_param_.name + ".backward",
-                               nthreads);
-  check::WriteSetChecker* chk = rstats.checker();
-#pragma omp parallel num_threads(nthreads)
-  {
-    const int tid = omp_get_thread_num();
-    parallel::ThreadRegionScope rscope(rstats, tid);
-    const auto range =
-        parallel::StaticChunk(channels_, omp_get_num_threads(), tid);
-    BackwardChannels(x, dy, dx, range.begin, range.end);
-    if (chk != nullptr && range.size() > 0) {
-      for (index_t n = 0; n < num_; ++n) {
-        chk->RecordWrite(tid, dx, "bottom.diff",
-                         (n * channels_ + range.begin) * spatial_,
-                         (n * channels_ + range.end) * spatial_);
-      }
-    }
-  }
+  parallel::ForEachChunk(this->layer_param_.name + ".backward", channels_,
+                         [&](const parallel::Chunk& c) {
+                           BackwardChannels(x, dy, dx, c.begin, c.end);
+                           DeclareChannelSlabs(c, dx, "bottom.diff", num_,
+                                               channels_, spatial_);
+                         });
 }
 
 template class BatchNormLayer<float>;

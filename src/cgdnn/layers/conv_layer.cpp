@@ -1,15 +1,11 @@
 #include "cgdnn/layers/conv_layer.hpp"
 
-#include <omp.h>
-
 #include <vector>
 
 #include "cgdnn/blas/blas.hpp"
 #include "cgdnn/blas/im2col.hpp"
 #include "cgdnn/layers/filler.hpp"
-#include "cgdnn/parallel/instrument.hpp"
-#include "cgdnn/parallel/merge.hpp"
-#include "cgdnn/parallel/privatizer.hpp"
+#include "cgdnn/parallel/region.hpp"
 
 namespace cgdnn {
 
@@ -74,8 +70,8 @@ void ConvolutionLayer<Dtype>::Reshape(const std::vector<Blob<Dtype>*>& bottom,
   bottom_dim_ = channels_ * height_ * width_;
   top_dim_ = num_output_ * out_spatial_;
   top[0]->Reshape(num_, num_output_, out_h_, out_w_);
-  // col_buffer_ is NOT reshaped here: the parallel paths acquire per-thread
-  // column buffers from the PrivatizationPool, so the member buffer is
+  // col_buffer_ is NOT reshaped here: the parallel paths get per-thread
+  // column buffers from the region helper's scratch, so the member buffer is
   // allocated lazily by SerialColBuffer() only when a serial pass runs
   // (otherwise the memory-table bench overcounts by one col buffer).
   if (bias_term_) {
@@ -233,41 +229,26 @@ void ConvolutionLayer<Dtype>::Forward_cpu_parallel(
     const std::vector<Blob<Dtype>*>& top) {
   const Dtype* bottom_data = bottom[0]->cpu_data();
   Dtype* top_data = top[0]->mutable_cpu_data();
-  const int nthreads = parallel::Parallel::ResolveThreads();
-  auto& pool = parallel::PrivatizationPool::Get();
-  pool.Configure(nthreads);
-  pool.BeginLayerScope();
-  parallel::RegionStats rstats(this->layer_param_.name + ".forward",
-                               nthreads);
-  // Batch-level parallelism, no coalescing needed: each sample is a heavy
-  // and uniform work unit (im2col + GEMM), and all writes are disjoint.
-  check::WriteSetChecker* chk = rstats.checker();
   const FusedEpilogue<Dtype>* ep = this->fused_epilogue();
+  // Batch-level parallelism, no coalescing needed: each sample is a heavy
+  // and uniform work unit (im2col + GEMM) needing only a private column
+  // buffer, and all writes are disjoint.
   const bool need_col = forward_strategy_ != ConvStrategy::kDirect;
-#pragma omp parallel num_threads(nthreads)
-  {
-    const int tid = omp_get_thread_num();
-    Dtype* col = need_col ? pool.Acquire<Dtype>(tid, col_count_) : nullptr;
-    {
-      parallel::ThreadRegionScope rscope(rstats, tid);
-#pragma omp for schedule(static) nowait
-      for (index_t n = 0; n < num_; ++n) {
-        ForwardSample(bottom_data + n * bottom_dim_, top_data + n * top_dim_,
-                      col);
-        if (ep != nullptr) {
-          // Fused elementwise chain, applied while the sample's output is
-          // cache-hot; writes stay inside this sample's top range.
-          ep->ApplyForward(top_data + n * top_dim_, n * top_dim_, top_dim_);
+  parallel::ForEachChunkPrivate<Dtype>(
+      this->layer_param_.name + ".forward", num_, need_col ? col_count_ : 0,
+      {}, [&](const parallel::Chunk& c, Dtype* col, Dtype* const*) {
+        for (index_t n = c.begin; n < c.end; ++n) {
+          ForwardSample(bottom_data + n * bottom_dim_,
+                        top_data + n * top_dim_, col);
+          if (ep != nullptr) {
+            // Fused elementwise chain, applied while the sample's output
+            // is cache-hot; writes stay inside this sample's top range.
+            ep->ApplyForward(top_data + n * top_dim_, n * top_dim_,
+                             top_dim_);
+          }
         }
-        if (chk != nullptr) {
-          chk->RecordWrite(tid, top_data, "top.data", n * top_dim_,
-                           (n + 1) * top_dim_);
-        }
-      }
-    }
-    // nowait keeps barrier wait out of the busy-time measurement; the
-    // region-end barrier still synchronizes everything.
-  }
+        c.Wrote(top_data, "top.data", c.begin * top_dim_, c.end * top_dim_);
+      });
 }
 
 template <typename Dtype>
@@ -310,81 +291,42 @@ void ConvolutionLayer<Dtype>::Backward_cpu_parallel(
   const Dtype* top_diff = top[0]->cpu_diff();
   const Dtype* bottom_data = bottom[0]->cpu_data();
   const bool do_weights = this->param_propagate_down(0);
-  const bool do_bias = bias_term_ && this->param_propagate_down(1);
-  const index_t wcount = this->blobs_[0]->count();
-  const index_t bcount = bias_term_ ? this->blobs_[1]->count() : 0;
   // Shared destinations are resolved in serial code: SyncedMemory state
   // transitions must not happen concurrently inside the parallel region.
-  Dtype* weight_diff_dest =
+  Dtype* weight_diff =
       do_weights ? this->blobs_[0]->mutable_cpu_diff() : nullptr;
-  Dtype* bias_diff_dest = do_bias ? this->blobs_[1]->mutable_cpu_diff() : nullptr;
-  Dtype* bottom_diff = propagate_down[0] ? bottom[0]->mutable_cpu_diff() : nullptr;
-
-  const int nthreads = parallel::Parallel::ResolveThreads();
-  const auto merge = parallel::Parallel::Config().merge;
-  auto& pool = parallel::PrivatizationPool::Get();
-  pool.Configure(nthreads);
-  pool.BeginLayerScope();
-  std::vector<Dtype*> priv_w(static_cast<std::size_t>(nthreads), nullptr);
-  std::vector<Dtype*> priv_b(static_cast<std::size_t>(nthreads), nullptr);
-  parallel::RegionStats rstats(this->layer_param_.name + ".backward",
-                               nthreads);
-  check::WriteSetChecker* chk = rstats.checker();
-
+  Dtype* bias_diff = bias_term_ && this->param_propagate_down(1)
+                         ? this->blobs_[1]->mutable_cpu_diff()
+                         : nullptr;
+  Dtype* bottom_diff =
+      propagate_down[0] ? bottom[0]->mutable_cpu_diff() : nullptr;
   const bool need_col =
       (do_weights && backward_weights_strategy_ != ConvStrategy::kDirect) ||
-      propagate_down[0];
-#pragma omp parallel num_threads(nthreads)
-  {
-    const int tid = omp_get_thread_num();
-    Dtype* col = need_col ? pool.Acquire<Dtype>(tid, col_count_) : nullptr;
-    Dtype* wgrad = nullptr;
-    Dtype* bgrad = nullptr;
-    if (do_weights) {
-      // Object privatization (Algorithm 5, lines 3-5): a private gradient
-      // blob per thread, zero-initialized to the reduction's neuter value.
-      wgrad = pool.Acquire<Dtype>(tid, wcount);
-      blas::set(wcount, Dtype(0), wgrad);
-      priv_w[static_cast<std::size_t>(tid)] = wgrad;
-    }
-    if (do_bias) {
-      bgrad = pool.Acquire<Dtype>(tid, bcount);
-      blas::set(bcount, Dtype(0), bgrad);
-      priv_b[static_cast<std::size_t>(tid)] = bgrad;
-    }
-
-    {
-      parallel::ThreadRegionScope rscope(rstats, tid);
-#pragma omp for schedule(static) nowait
-      for (index_t n = 0; n < num_; ++n) {
-        if (do_weights) {
-          BackwardSampleWeights(bottom_data + n * bottom_dim_,
-                                top_diff + n * top_dim_, wgrad, bgrad, col);
-        }
-        if (bottom_diff != nullptr) {
-          BackwardSampleBottom(top_diff + n * top_dim_,
-                               bottom_diff + n * bottom_dim_, col);
-          if (chk != nullptr) {
-            chk->RecordWrite(tid, bottom_diff, "bottom.diff",
-                             n * bottom_dim_, (n + 1) * bottom_dim_);
+      bottom_diff != nullptr;
+  // Weight and bias gradients are sums over the batch: each thread
+  // accumulates its samples into private copies (Algorithm 5), which the
+  // helper merges with the configured GradientMerge after the barrier.
+  parallel::ForEachChunkPrivate<Dtype>(
+      this->layer_param_.name + ".backward", num_, need_col ? col_count_ : 0,
+      {{weight_diff, this->blobs_[0]->count()},
+       {bias_diff, bias_term_ ? this->blobs_[1]->count() : 0}},
+      [&](const parallel::Chunk& c, Dtype* col, Dtype* const* priv) {
+        for (index_t n = c.begin; n < c.end; ++n) {
+          if (do_weights) {
+            BackwardSampleWeights(bottom_data + n * bottom_dim_,
+                                  top_diff + n * top_dim_, priv[0], priv[1],
+                                  col);
+          }
+          if (bottom_diff != nullptr) {
+            BackwardSampleBottom(top_diff + n * top_dim_,
+                                 bottom_diff + n * bottom_dim_, col);
           }
         }
-      }
-    }
-    // Explicit barrier replacing the worksharing loop's implicit one (the
-    // loop is nowait so the busy-time scope above excludes barrier waits):
-    // all private gradients must be complete and visible before the merge.
-#pragma omp barrier
-
-    if (do_weights) {
-      parallel::AccumulatePrivate(merge, priv_w.data(), nthreads,
-                                  weight_diff_dest, wcount);
-    }
-    if (do_bias) {
-      parallel::AccumulatePrivate(merge, priv_b.data(), nthreads,
-                                  bias_diff_dest, bcount);
-    }
-  }
+        if (bottom_diff != nullptr) {
+          c.Wrote(bottom_diff, "bottom.diff", c.begin * bottom_dim_,
+                  c.end * bottom_dim_);
+        }
+      });
 }
 
 template class ConvolutionLayer<float>;

@@ -1,5 +1,7 @@
 #include "cgdnn/layers/extra_neuron_layers.hpp"
 
+#include "cgdnn/parallel/region.hpp"
+
 namespace cgdnn {
 
 template <typename Dtype>
@@ -19,9 +21,9 @@ void ElementwiseNeuronLayer<Dtype>::Forward_cpu_parallel(
   const Dtype* x = bottom[0]->cpu_data();
   Dtype* y = top[0]->mutable_cpu_data();
   const index_t count = bottom[0]->count();
-#pragma omp parallel for num_threads(parallel::Parallel::ResolveThreads()) \
-    schedule(static)
-  for (index_t i = 0; i < count; ++i) y[i] = Evaluate(x[i]);
+  parallel::ForEachElement(this->layer_param_.name + ".forward", count, y,
+                           "top.data",
+                           [&](index_t i) { y[i] = Evaluate(x[i]); });
 }
 
 template <typename Dtype>
@@ -53,9 +55,9 @@ void ElementwiseNeuronLayer<Dtype>::Backward_cpu_parallel(
   const Dtype* dy = top[0]->cpu_diff();
   Dtype* dx = bottom[0]->mutable_cpu_diff();
   const index_t count = bottom[0]->count();
-#pragma omp parallel for num_threads(parallel::Parallel::ResolveThreads()) \
-    schedule(static)
-  for (index_t i = 0; i < count; ++i) dx[i] = dy[i] * Derivative(x[i], y[i]);
+  parallel::ForEachElement(
+      this->layer_param_.name + ".backward", count, dx, "bottom.diff",
+      [&](index_t i) { dx[i] = dy[i] * Derivative(x[i], y[i]); });
 }
 
 #define CGDNN_INSTANTIATE_EXTRA(Layer) \

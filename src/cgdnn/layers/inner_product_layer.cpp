@@ -1,13 +1,8 @@
 #include "cgdnn/layers/inner_product_layer.hpp"
 
-#include <omp.h>
-
 #include "cgdnn/blas/blas.hpp"
 #include "cgdnn/layers/filler.hpp"
-#include "cgdnn/parallel/coalesce.hpp"
-#include "cgdnn/parallel/instrument.hpp"
-#include "cgdnn/parallel/merge.hpp"
-#include "cgdnn/parallel/privatizer.hpp"
+#include "cgdnn/parallel/region.hpp"
 
 namespace cgdnn {
 
@@ -78,40 +73,32 @@ void InnerProductLayer<Dtype>::Forward_cpu_parallel(
   const Dtype* weight = this->blobs_[0]->cpu_data();
   const Dtype* bias = bias_term_ ? this->blobs_[1]->cpu_data() : nullptr;
   Dtype* top_data = top[0]->mutable_cpu_data();
-  const int nthreads = parallel::Parallel::ResolveThreads();
-  parallel::RegionStats rstats(this->layer_param_.name + ".forward",
-                               nthreads);
+  const FusedEpilogue<Dtype>* ep = this->fused_epilogue();
   // Batch-level parallelism: each thread evaluates the GEMM restricted to
   // its contiguous block of samples (rows). Row results are independent,
   // so this is bit-identical to the serial GEMM.
-  check::WriteSetChecker* chk = rstats.checker();
-#pragma omp parallel num_threads(nthreads)
-  {
-    const int tid = omp_get_thread_num();
-    parallel::ThreadRegionScope rscope(rstats, tid);
-    const auto range = parallel::StaticChunk(m_, omp_get_num_threads(), tid);
-    if (range.size() > 0) {
-      Dtype* out = top_data + range.begin * num_output_;
-      if (chk != nullptr) {
-        chk->RecordWrite(tid, top_data, "top.data",
-                         range.begin * num_output_, range.end * num_output_);
-      }
-      blas::gemm(blas::Transpose::kNo, blas::Transpose::kTrans, range.size(),
-                 num_output_, k_, Dtype(1), bottom_data + range.begin * k_,
-                 weight, Dtype(0), out);
-      if (bias != nullptr) {
-        for (index_t s = 0; s < range.size(); ++s) {
-          blas::axpy(num_output_, Dtype(1), bias, out + s * num_output_);
+  parallel::ForEachChunk(
+      this->layer_param_.name + ".forward", m_,
+      [&](const parallel::Chunk& c) {
+        const index_t rows = c.end - c.begin;
+        if (rows == 0) return;
+        Dtype* out = top_data + c.begin * num_output_;
+        blas::gemm(blas::Transpose::kNo, blas::Transpose::kTrans, rows,
+                   num_output_, k_, Dtype(1), bottom_data + c.begin * k_,
+                   weight, Dtype(0), out);
+        if (bias != nullptr) {
+          for (index_t s = 0; s < rows; ++s) {
+            blas::axpy(num_output_, Dtype(1), bias, out + s * num_output_);
+          }
         }
-      }
-      if (const FusedEpilogue<Dtype>* ep = this->fused_epilogue()) {
-        // Fused chain over this thread's row chunk — elementwise, so the
-        // partitioned application is bit-identical to a whole-blob pass.
-        ep->ApplyForward(out, range.begin * num_output_,
-                         range.size() * num_output_);
-      }
-    }
-  }
+        if (ep != nullptr) {
+          // Fused chain over this thread's row chunk — elementwise, so the
+          // partitioned application is bit-identical to a whole-blob pass.
+          ep->ApplyForward(out, c.begin * num_output_, rows * num_output_);
+        }
+        c.Wrote(top_data, "top.data", c.begin * num_output_,
+                c.end * num_output_);
+      });
 }
 
 template <typename Dtype>
@@ -148,74 +135,58 @@ void InnerProductLayer<Dtype>::Backward_cpu_parallel(
   const Dtype* top_diff = top[0]->cpu_diff();
   const Dtype* bottom_data = bottom[0]->cpu_data();
   const Dtype* weight = this->blobs_[0]->cpu_data();
-  const bool do_weights = this->param_propagate_down(0);
-  const bool do_bias = bias_term_ && this->param_propagate_down(1);
-  Dtype* weight_diff_dest =
-      do_weights ? this->blobs_[0]->mutable_cpu_diff() : nullptr;
-  Dtype* bias_diff_dest = do_bias ? this->blobs_[1]->mutable_cpu_diff() : nullptr;
+  Dtype* weight_diff = this->param_propagate_down(0)
+                           ? this->blobs_[0]->mutable_cpu_diff()
+                           : nullptr;
+  Dtype* bias_diff = bias_term_ && this->param_propagate_down(1)
+                         ? this->blobs_[1]->mutable_cpu_diff()
+                         : nullptr;
   Dtype* bottom_diff =
       propagate_down[0] ? bottom[0]->mutable_cpu_diff() : nullptr;
-
-  const int nthreads = parallel::Parallel::ResolveThreads();
-  parallel::RegionStats rstats(this->layer_param_.name + ".backward",
-                               nthreads);
   // Parameter gradients are partitioned by OUTPUT ROW instead of by sample
   // (the loop-rearrangement freedom of paper §3.1.2): each dW row is a sum
   // over all samples, so threads own disjoint rows, no privatization or
   // merge is needed, and the per-row sample-ascending accumulation is
   // bit-identical to the serial GEMM. The weight matrix is the layer's
   // dominant state, so this also avoids the O(weights x threads) memory a
-  // batch-partitioned accumulation would privatize.
-  check::WriteSetChecker* chk = rstats.checker();
-#pragma omp parallel num_threads(nthreads)
-  {
-    const int tid = omp_get_thread_num();
-    const int team = omp_get_num_threads();
-    parallel::ThreadRegionScope rscope(rstats, tid);
-    if (do_weights || do_bias) {
-      const auto rows = parallel::StaticChunk(num_output_, team, tid);
-      if (chk != nullptr && rows.size() > 0) {
-        if (do_weights) {
-          chk->RecordWrite(tid, weight_diff_dest, "weight.diff",
-                           rows.begin * k_, rows.end * k_);
-        }
-        if (do_bias) {
-          chk->RecordWrite(tid, bias_diff_dest, "bias.diff", rows.begin,
-                           rows.end);
-        }
-      }
-      for (index_t o = rows.begin; o < rows.end; ++o) {
-        if (do_weights) {
-          Dtype* wrow = weight_diff_dest + o * k_;
-          for (index_t s = 0; s < m_; ++s) {
-            blas::axpy(k_, top_diff[s * num_output_ + o],
-                       bottom_data + s * k_, wrow);
+  // batch-partitioned accumulation would privatize. The bottom gradient
+  // stays batch-partitioned (disjoint per sample).
+  parallel::ForEachChunk(
+      this->layer_param_.name + ".backward", m_,
+      [&](const parallel::Chunk& c) {
+        const parallel::IterRange rows = c.Share(num_output_);
+        for (index_t o = rows.begin; o < rows.end; ++o) {
+          if (weight_diff != nullptr) {
+            Dtype* wrow = weight_diff + o * k_;
+            for (index_t s = 0; s < m_; ++s) {
+              blas::axpy(k_, top_diff[s * num_output_ + o],
+                         bottom_data + s * k_, wrow);
+            }
+          }
+          if (bias_diff != nullptr) {
+            // Accumulate from the existing value in sample order: the exact
+            // association of the serial transposed GEMV.
+            Dtype sum = bias_diff[o];
+            for (index_t s = 0; s < m_; ++s) {
+              sum += top_diff[s * num_output_ + o];
+            }
+            bias_diff[o] = sum;
           }
         }
-        if (do_bias) {
-          // Accumulate from the existing value in sample order: the exact
-          // association of the serial transposed GEMV.
-          Dtype sum = bias_diff_dest[o];
-          for (index_t s = 0; s < m_; ++s) sum += top_diff[s * num_output_ + o];
-          bias_diff_dest[o] = sum;
+        if (weight_diff != nullptr) {
+          c.Wrote(weight_diff, "weight.diff", rows.begin * k_, rows.end * k_);
         }
-      }
-    }
-    if (bottom_diff != nullptr) {
-      // Bottom gradient stays batch-partitioned (disjoint per sample).
-      const auto range = parallel::StaticChunk(m_, team, tid);
-      if (range.size() > 0) {
-        if (chk != nullptr) {
-          chk->RecordWrite(tid, bottom_diff, "bottom.diff",
-                           range.begin * k_, range.end * k_);
+        if (bias_diff != nullptr) {
+          c.Wrote(bias_diff, "bias.diff", rows.begin, rows.end);
         }
-        blas::gemm(blas::Transpose::kNo, blas::Transpose::kNo, range.size(),
-                   k_, num_output_, Dtype(1),
-                   top_diff + range.begin * num_output_, weight, Dtype(0),
-                   bottom_diff + range.begin * k_);
-      }
-    }
-  }
+        if (bottom_diff != nullptr && c.end > c.begin) {
+          blas::gemm(blas::Transpose::kNo, blas::Transpose::kNo,
+                     c.end - c.begin, k_, num_output_, Dtype(1),
+                     top_diff + c.begin * num_output_, weight, Dtype(0),
+                     bottom_diff + c.begin * k_);
+          c.Wrote(bottom_diff, "bottom.diff", c.begin * k_, c.end * k_);
+        }
+      });
 }
 
 template class InnerProductLayer<float>;

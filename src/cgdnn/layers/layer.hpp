@@ -6,12 +6,15 @@
 //   * Forward_cpu / Backward_cpu — the sequential loop nests of
 //     Algorithms 2/3 (also the correctness reference), and
 //   * Forward_cpu_parallel / Backward_cpu_parallel — the coarse-grain
-//     batch-level OpenMP versions of Algorithms 4/5 (coalesced loops,
-//     per-thread privatization, ordered gradient merge).
+//     batch-level versions of Algorithms 4/5: one parallel::ForEachChunk /
+//     ForEachChunkPrivate call (parallel/region.hpp) around the per-sample
+//     body, which owns the coalesced static partition, per-thread
+//     privatization and the ordered gradient merge.
 // Forward()/Backward() dispatch on the global parallel::Parallel config;
 // a layer without a parallel specialization falls back to the serial code,
 // which is exactly the "network-agnostic" property: new layer types work
-// unchanged, and gain batch-parallelism when their author adds one pragma.
+// unchanged, and gain batch-parallelism when their author wraps the sample
+// loop in one helper call.
 #pragma once
 
 #include <memory>

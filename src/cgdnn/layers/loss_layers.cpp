@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "cgdnn/blas/blas.hpp"
+#include "cgdnn/parallel/region.hpp"
 
 namespace cgdnn {
 
@@ -75,11 +76,15 @@ void SoftmaxWithLossLayer<Dtype>::Forward_cpu_parallel(
   const Dtype* label = bottom[1]->cpu_data();
   Dtype* prob_data = prob_.mutable_cpu_data();  // resolved before the region
   Dtype* per_sample = per_sample_loss_.data();
-  const int nthreads = parallel::Parallel::ResolveThreads();
-#pragma omp parallel for num_threads(nthreads) schedule(static)
-  for (index_t n = 0; n < num_; ++n) {
-    per_sample[n] = ForwardSample(bottom_data, label, prob_data, n);
-  }
+  parallel::ForEachChunk(
+      this->layer_param_.name + ".forward", num_,
+      [&](const parallel::Chunk& c) {
+        for (index_t n = c.begin; n < c.end; ++n) {
+          per_sample[n] = ForwardSample(bottom_data, label, prob_data, n);
+        }
+        c.Wrote(per_sample, "per_sample_loss", c.begin, c.end);
+        c.Wrote(prob_data, "prob", c.begin * channels_, c.end * channels_);
+      });
   // Sample-ordered reduction: identical bit pattern to the serial loop.
   Dtype loss = 0;
   for (index_t n = 0; n < num_; ++n) loss += per_sample[n];
@@ -129,11 +134,15 @@ void SoftmaxWithLossLayer<Dtype>::Backward_cpu_parallel(
   const Dtype* label = bottom[1]->cpu_data();
   Dtype* bottom_diff = bottom[0]->mutable_cpu_diff();
   const Dtype scale = top[0]->cpu_diff()[0] / Normalizer();
-  const int nthreads = parallel::Parallel::ResolveThreads();
-#pragma omp parallel for num_threads(nthreads) schedule(static)
-  for (index_t n = 0; n < num_; ++n) {
-    BackwardSample(label, bottom_diff, n, scale);
-  }
+  parallel::ForEachChunk(
+      this->layer_param_.name + ".backward", num_,
+      [&](const parallel::Chunk& c) {
+        for (index_t n = c.begin; n < c.end; ++n) {
+          BackwardSample(label, bottom_diff, n, scale);
+        }
+        c.Wrote(bottom_diff, "bottom.diff", c.begin * channels_,
+                c.end * channels_);
+      });
 }
 
 // ------------------------------------------------------------ EuclideanLoss

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "cgdnn/parallel/coalesce.hpp"
+#include "cgdnn/parallel/region.hpp"
 
 namespace cgdnn {
 
@@ -103,6 +103,38 @@ void LRNLayer<Dtype>::Forward_cpu(const std::vector<Blob<Dtype>*>& bottom,
 }
 
 template <typename Dtype>
+template <typename RowFn>
+void LRNLayer<Dtype>::ForEachRowChunk(
+    const char* phase,
+    std::initializer_list<std::pair<const Dtype*, const char*>> written,
+    const RowFn& row) const {
+  // LRN coalesces (N, H) — the channel window forbids splitting C, so its
+  // data-thread distribution differs from conv/pool neighbours (the
+  // locality effect discussed in §4.2.1). Without coalescing, each work
+  // item is a whole sample.
+  const bool coalesce = parallel::Parallel::Config().coalesce;
+  const index_t per_item = coalesce ? 1 : height_;
+  const index_t plane = height_ * width_;
+  const parallel::CoalescedRange rows{num_, height_};
+  parallel::ForEachChunk(
+      this->layer_param_.name + phase, coalesce ? rows.total() : num_,
+      [&](const parallel::Chunk& c) {
+        for (index_t r = c.begin * per_item; r < c.end * per_item; ++r) {
+          const auto idx = rows.Decode(r);  // idx[0] = n, idx[1] = y
+          const index_t n = idx[0], y = idx[1];
+          row(n, y);
+          // A row touches every channel plane: one strided slab each.
+          for (index_t ch = 0; c.checking() && ch < channels_; ++ch) {
+            const index_t at = (n * channels_ + ch) * plane + y * width_;
+            for (const auto& [base, blob] : written) {
+              c.Wrote(base, blob, at, at + width_);
+            }
+          }
+        }
+      });
+}
+
+template <typename Dtype>
 void LRNLayer<Dtype>::Forward_cpu_parallel(
     const std::vector<Blob<Dtype>*>& bottom,
     const std::vector<Blob<Dtype>*>& top) {
@@ -110,27 +142,12 @@ void LRNLayer<Dtype>::Forward_cpu_parallel(
   Dtype* top_data = top[0]->mutable_cpu_data();
   Dtype* scale_data = scale_.mutable_cpu_data();
   const index_t sample = channels_ * height_ * width_;
-  const int nthreads = parallel::Parallel::ResolveThreads();
-  // LRN coalesces (N, H) — the channel window forbids splitting C, so its
-  // data-thread distribution differs from conv/pool neighbours (the
-  // locality effect discussed in §4.2.1).
-  if (parallel::Parallel::Config().coalesce) {
-    const parallel::CoalescedRange range{num_, height_};
-#pragma omp parallel for num_threads(nthreads) schedule(static)
-    for (index_t civ = 0; civ < range.total(); ++civ) {
-      const auto idx = range.Decode(civ);
-      ForwardRow(bottom_data + idx[0] * sample, top_data + idx[0] * sample,
-                 scale_data + idx[0] * sample, idx[1]);
-    }
-  } else {
-#pragma omp parallel for num_threads(nthreads) schedule(static)
-    for (index_t n = 0; n < num_; ++n) {
-      for (index_t y = 0; y < height_; ++y) {
-        ForwardRow(bottom_data + n * sample, top_data + n * sample,
-                   scale_data + n * sample, y);
-      }
-    }
-  }
+  ForEachRowChunk(".forward", {{top_data, "top.data"}, {scale_data, "scale"}},
+                  [&](index_t n, index_t y) {
+                    ForwardRow(bottom_data + n * sample,
+                               top_data + n * sample, scale_data + n * sample,
+                               y);
+                  });
 }
 
 template <typename Dtype>
@@ -165,26 +182,13 @@ void LRNLayer<Dtype>::Backward_cpu_parallel(
   const Dtype* top_diff = top[0]->cpu_diff();
   Dtype* bottom_diff = bottom[0]->mutable_cpu_diff();
   const index_t sample = channels_ * height_ * width_;
-  const int nthreads = parallel::Parallel::ResolveThreads();
-  if (parallel::Parallel::Config().coalesce) {
-    const parallel::CoalescedRange range{num_, height_};
-#pragma omp parallel for num_threads(nthreads) schedule(static)
-    for (index_t civ = 0; civ < range.total(); ++civ) {
-      const auto idx = range.Decode(civ);
-      BackwardRow(bottom_data + idx[0] * sample, top_data + idx[0] * sample,
-                  scale_data + idx[0] * sample, top_diff + idx[0] * sample,
-                  bottom_diff + idx[0] * sample, idx[1]);
-    }
-  } else {
-#pragma omp parallel for num_threads(nthreads) schedule(static)
-    for (index_t n = 0; n < num_; ++n) {
-      for (index_t y = 0; y < height_; ++y) {
-        BackwardRow(bottom_data + n * sample, top_data + n * sample,
-                    scale_data + n * sample, top_diff + n * sample,
-                    bottom_diff + n * sample, y);
-      }
-    }
-  }
+  ForEachRowChunk(".backward", {{bottom_diff, "bottom.diff"}},
+                  [&](index_t n, index_t y) {
+                    BackwardRow(bottom_data + n * sample,
+                                top_data + n * sample, scale_data + n * sample,
+                                top_diff + n * sample,
+                                bottom_diff + n * sample, y);
+                  });
 }
 
 template class LRNLayer<float>;

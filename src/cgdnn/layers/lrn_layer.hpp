@@ -9,6 +9,9 @@
 // penalty discussed in §4.2.1.
 #pragma once
 
+#include <initializer_list>
+#include <utility>
+
 #include "cgdnn/layers/layer.hpp"
 
 namespace cgdnn {
@@ -48,6 +51,14 @@ class LRNLayer : public Layer<Dtype> {
   void BackwardRow(const Dtype* bottom_n, const Dtype* top_n,
                    const Dtype* scale_n, const Dtype* top_diff_n,
                    Dtype* bottom_diff_n, index_t y) const;
+  /// Runs row(n, y) for every (n, y) row in one parallel region — the
+  /// coalesced (N, H) loop, or the bare N loop without coalescing — and
+  /// declares each row's strided writes to the `written` blobs.
+  template <typename RowFn>
+  void ForEachRowChunk(
+      const char* phase,
+      std::initializer_list<std::pair<const Dtype*, const char*>> written,
+      const RowFn& row) const;
 
   index_t size_ = 5;
   Dtype alpha_ = 1, beta_ = Dtype(0.75), k_ = 1;

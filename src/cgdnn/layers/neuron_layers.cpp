@@ -4,12 +4,9 @@
 
 #include "cgdnn/blas/blas.hpp"
 #include "cgdnn/core/rng.hpp"
+#include "cgdnn/parallel/region.hpp"
 
 namespace cgdnn {
-
-namespace {
-int Threads() { return parallel::Parallel::ResolveThreads(); }
-}  // namespace
 
 // -------------------------------------------------------------------- ReLU
 
@@ -34,11 +31,10 @@ void ReLULayer<Dtype>::Forward_cpu_parallel(
   Dtype* top_data = top[0]->mutable_cpu_data();
   const index_t count = bottom[0]->count();
   const Dtype slope = negative_slope_;
-  // Whole-nest coalescing: (s, d1, ..., dN) collapse into one loop.
-#pragma omp parallel for num_threads(Threads()) schedule(static)
-  for (index_t i = 0; i < count; ++i) {
+  parallel::ForEachElement(this->layer_param_.name + ".forward", count,
+                           top_data, "top.data", [&](index_t i) {
     top_data[i] = bottom_data[i] > 0 ? bottom_data[i] : slope * bottom_data[i];
-  }
+  });
 }
 
 template <typename Dtype>
@@ -67,10 +63,10 @@ void ReLULayer<Dtype>::Backward_cpu_parallel(
   Dtype* bottom_diff = bottom[0]->mutable_cpu_diff();
   const index_t count = bottom[0]->count();
   const Dtype slope = negative_slope_;
-#pragma omp parallel for num_threads(Threads()) schedule(static)
-  for (index_t i = 0; i < count; ++i) {
+  parallel::ForEachElement(this->layer_param_.name + ".backward", count,
+                           bottom_diff, "bottom.diff", [&](index_t i) {
     bottom_diff[i] = top_diff[i] * (bottom_data[i] > 0 ? Dtype(1) : slope);
-  }
+  });
 }
 
 // ----------------------------------------------------------------- Sigmoid
@@ -98,8 +94,9 @@ void SigmoidLayer<Dtype>::Forward_cpu_parallel(
   const Dtype* bottom_data = bottom[0]->cpu_data();
   Dtype* top_data = top[0]->mutable_cpu_data();
   const index_t count = bottom[0]->count();
-#pragma omp parallel for num_threads(Threads()) schedule(static)
-  for (index_t i = 0; i < count; ++i) top_data[i] = SigmoidFn(bottom_data[i]);
+  parallel::ForEachElement(
+      this->layer_param_.name + ".forward", count, top_data, "top.data",
+      [&](index_t i) { top_data[i] = SigmoidFn(bottom_data[i]); });
 }
 
 template <typename Dtype>
@@ -126,10 +123,10 @@ void SigmoidLayer<Dtype>::Backward_cpu_parallel(
   const Dtype* top_diff = top[0]->cpu_diff();
   Dtype* bottom_diff = bottom[0]->mutable_cpu_diff();
   const index_t count = bottom[0]->count();
-#pragma omp parallel for num_threads(Threads()) schedule(static)
-  for (index_t i = 0; i < count; ++i) {
+  parallel::ForEachElement(this->layer_param_.name + ".backward", count,
+                           bottom_diff, "bottom.diff", [&](index_t i) {
     bottom_diff[i] = top_diff[i] * top_data[i] * (Dtype(1) - top_data[i]);
-  }
+  });
 }
 
 // -------------------------------------------------------------------- TanH
@@ -150,8 +147,9 @@ void TanHLayer<Dtype>::Forward_cpu_parallel(
   const Dtype* bottom_data = bottom[0]->cpu_data();
   Dtype* top_data = top[0]->mutable_cpu_data();
   const index_t count = bottom[0]->count();
-#pragma omp parallel for num_threads(Threads()) schedule(static)
-  for (index_t i = 0; i < count; ++i) top_data[i] = std::tanh(bottom_data[i]);
+  parallel::ForEachElement(
+      this->layer_param_.name + ".forward", count, top_data, "top.data",
+      [&](index_t i) { top_data[i] = std::tanh(bottom_data[i]); });
 }
 
 template <typename Dtype>
@@ -178,10 +176,10 @@ void TanHLayer<Dtype>::Backward_cpu_parallel(
   const Dtype* top_diff = top[0]->cpu_diff();
   Dtype* bottom_diff = bottom[0]->mutable_cpu_diff();
   const index_t count = bottom[0]->count();
-#pragma omp parallel for num_threads(Threads()) schedule(static)
-  for (index_t i = 0; i < count; ++i) {
+  parallel::ForEachElement(this->layer_param_.name + ".backward", count,
+                           bottom_diff, "bottom.diff", [&](index_t i) {
     bottom_diff[i] = top_diff[i] * (Dtype(1) - top_data[i] * top_data[i]);
-  }
+  });
 }
 
 // ----------------------------------------------------------------- Dropout
@@ -238,13 +236,18 @@ void DropoutLayer<Dtype>::Forward_cpu_parallel(
   if (this->phase_ == Phase::kTrain) {
     ++pass_counter_;
     Dtype* mask = mask_.data();
-#pragma omp parallel for num_threads(Threads()) schedule(static)
-    for (index_t i = 0; i < count; ++i) {
-      // The counter-based mask stream makes this loop order-free: element
-      // i's mask does not depend on which thread evaluates it.
-      mask[i] = MaskKeep(i) ? scale_ : Dtype(0);
-      top_data[i] = bottom_data[i] * mask[i];
-    }
+    parallel::ForEachChunk(
+        this->layer_param_.name + ".forward", count,
+        [&](const parallel::Chunk& c) {
+          for (index_t i = c.begin; i < c.end; ++i) {
+            // The counter-based mask stream makes this loop order-free:
+            // element i's mask does not depend on which thread evaluates it.
+            mask[i] = MaskKeep(i) ? scale_ : Dtype(0);
+            top_data[i] = bottom_data[i] * mask[i];
+          }
+          c.Wrote(mask, "mask", c.begin, c.end);
+          c.Wrote(top_data, "top.data", c.begin, c.end);
+        });
   } else {
     blas::copy(count, bottom_data, top_data);
   }
@@ -278,8 +281,10 @@ void DropoutLayer<Dtype>::Backward_cpu_parallel(
   const index_t count = bottom[0]->count();
   if (this->phase_ == Phase::kTrain) {
     const Dtype* mask = mask_.data();
-#pragma omp parallel for num_threads(Threads()) schedule(static)
-    for (index_t i = 0; i < count; ++i) bottom_diff[i] = top_diff[i] * mask[i];
+    parallel::ForEachElement(
+        this->layer_param_.name + ".backward", count, bottom_diff,
+        "bottom.diff",
+        [&](index_t i) { bottom_diff[i] = top_diff[i] * mask[i]; });
   } else {
     blas::copy(count, top_diff, bottom_diff);
   }

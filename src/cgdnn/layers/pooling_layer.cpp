@@ -5,10 +5,7 @@
 #include <cstring>
 #include <limits>
 
-#include <omp.h>
-
-#include "cgdnn/parallel/coalesce.hpp"
-#include "cgdnn/parallel/instrument.hpp"
+#include "cgdnn/parallel/region.hpp"
 
 namespace cgdnn {
 
@@ -184,70 +181,30 @@ void PoolingLayer<Dtype>::Forward_cpu_parallel(
   const index_t in_plane = height_ * width_;
   const index_t out_plane = pooled_h_ * pooled_w_;
   index_t* mask = max_idx_.data();
+  const FusedEpilogue<Dtype>* ep = this->fused_epilogue();
+  // Algorithm 4: the (n, c) loops coalesce into one parallel loop of
+  // planes. The decode is the identity because the planes are stored
+  // contiguously in exactly (n*C + c) order. Without coalescing, each work
+  // item is a whole sample (ablation).
   const bool coalesce = parallel::Parallel::Config().coalesce;
-  // Algorithm 4: the (n, c) loops coalesce into one parallel loop. The
-  // decode is the identity here because the planes are stored contiguously
-  // in exactly (n*C + c) order. Without coalescing, only the batch loop is
-  // parallel (ablation).
-  if (coalesce) {
-    const index_t total = num_ * channels_;
-    const int nthreads = parallel::Parallel::ResolveThreads();
-    parallel::RegionStats rstats(this->layer_param_.name + ".forward",
-                                 nthreads);
-    check::WriteSetChecker* chk = rstats.checker();
-    const FusedEpilogue<Dtype>* ep = this->fused_epilogue();
-#pragma omp parallel num_threads(nthreads)
-    {
-      const int tid = omp_get_thread_num();
-      parallel::ThreadRegionScope rscope(rstats, tid);
-#pragma omp for schedule(static) nowait
-      for (index_t civ = 0; civ < total; ++civ) {
-        ForwardPlane(bottom_data + civ * in_plane, top_data + civ * out_plane,
-                     mask + civ * out_plane);
-        if (ep != nullptr) {
-          // Fused elementwise chain per plane (writes stay in this plane).
-          ep->ApplyForward(top_data + civ * out_plane, civ * out_plane,
-                           out_plane);
-        }
-        if (chk != nullptr) {
-          chk->RecordWrite(tid, top_data, "top.data", civ * out_plane,
-                           (civ + 1) * out_plane);
-          chk->RecordWrite(tid, mask, "max_idx", civ * out_plane,
-                           (civ + 1) * out_plane);
-        }
-      }
-    }
-  } else {
-    const int nthreads = parallel::Parallel::ResolveThreads();
-    parallel::RegionStats rstats(this->layer_param_.name + ".forward",
-                                 nthreads);
-    check::WriteSetChecker* chk = rstats.checker();
-    const FusedEpilogue<Dtype>* ep = this->fused_epilogue();
-#pragma omp parallel num_threads(nthreads)
-    {
-      const int tid = omp_get_thread_num();
-      parallel::ThreadRegionScope rscope(rstats, tid);
-#pragma omp for schedule(static)
-      for (index_t n = 0; n < num_; ++n) {
-        for (index_t c = 0; c < channels_; ++c) {
-          const index_t plane = n * channels_ + c;
+  const index_t per_item = coalesce ? 1 : channels_;
+  parallel::ForEachChunk(
+      this->layer_param_.name + ".forward", coalesce ? num_ * channels_ : num_,
+      [&](const parallel::Chunk& c) {
+        const index_t first = c.begin * per_item;
+        const index_t last = c.end * per_item;
+        for (index_t plane = first; plane < last; ++plane) {
           ForwardPlane(bottom_data + plane * in_plane,
                        top_data + plane * out_plane, mask + plane * out_plane);
           if (ep != nullptr) {
+            // Fused elementwise chain per plane (writes stay in this plane).
             ep->ApplyForward(top_data + plane * out_plane, plane * out_plane,
                              out_plane);
           }
         }
-        if (chk != nullptr) {
-          chk->RecordWrite(tid, top_data, "top.data",
-                           n * channels_ * out_plane,
-                           (n + 1) * channels_ * out_plane);
-          chk->RecordWrite(tid, mask, "max_idx", n * channels_ * out_plane,
-                           (n + 1) * channels_ * out_plane);
-        }
-      }
-    }
-  }
+        c.Wrote(top_data, "top.data", first * out_plane, last * out_plane);
+        c.Wrote(mask, "max_idx", first * out_plane, last * out_plane);
+      });
 }
 
 template <typename Dtype>
@@ -281,36 +238,19 @@ void PoolingLayer<Dtype>::Backward_cpu_parallel(
   const index_t out_plane = pooled_h_ * pooled_w_;
   const index_t* mask = max_idx_.data();
   const bool coalesce = parallel::Parallel::Config().coalesce;
-  if (coalesce) {
-    const index_t total = num_ * channels_;
-    const int nthreads = parallel::Parallel::ResolveThreads();
-    parallel::RegionStats rstats(this->layer_param_.name + ".backward",
-                                 nthreads);
-    check::WriteSetChecker* chk = rstats.checker();
-#pragma omp parallel num_threads(nthreads)
-    {
-      const int tid = omp_get_thread_num();
-      parallel::ThreadRegionScope rscope(rstats, tid);
-#pragma omp for schedule(static) nowait
-      for (index_t civ = 0; civ < total; ++civ) {
-        BackwardPlane(top_diff + civ * out_plane, mask + civ * out_plane,
-                      bottom_diff + civ * in_plane);
-        if (chk != nullptr) {
-          chk->RecordWrite(tid, bottom_diff, "bottom.diff", civ * in_plane,
-                           (civ + 1) * in_plane);
+  const index_t per_item = coalesce ? 1 : channels_;
+  parallel::ForEachChunk(
+      this->layer_param_.name + ".backward", coalesce ? num_ * channels_ : num_,
+      [&](const parallel::Chunk& c) {
+        const index_t first = c.begin * per_item;
+        const index_t last = c.end * per_item;
+        for (index_t plane = first; plane < last; ++plane) {
+          BackwardPlane(top_diff + plane * out_plane, mask + plane * out_plane,
+                        bottom_diff + plane * in_plane);
         }
-      }
-    }
-  } else {
-#pragma omp parallel for num_threads(parallel::Parallel::ResolveThreads()) schedule(static)
-    for (index_t n = 0; n < num_; ++n) {
-      for (index_t c = 0; c < channels_; ++c) {
-        const index_t plane = n * channels_ + c;
-        BackwardPlane(top_diff + plane * out_plane, mask + plane * out_plane,
-                      bottom_diff + plane * in_plane);
-      }
-    }
-  }
+        c.Wrote(bottom_diff, "bottom.diff", first * in_plane,
+                last * in_plane);
+      });
 }
 
 template class PoolingLayer<float>;

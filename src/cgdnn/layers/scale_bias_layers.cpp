@@ -1,11 +1,8 @@
 #include "cgdnn/layers/scale_bias_layers.hpp"
 
-#include <omp.h>
-
 #include "cgdnn/blas/blas.hpp"
 #include "cgdnn/layers/filler.hpp"
-#include "cgdnn/parallel/coalesce.hpp"
-#include "cgdnn/parallel/instrument.hpp"
+#include "cgdnn/parallel/region.hpp"
 
 namespace cgdnn {
 
@@ -71,17 +68,20 @@ void ScaleLayer<Dtype>::Forward_cpu_parallel(
   const Dtype* w = this->blobs_[0]->cpu_data();
   const Dtype* b = bias_term_ ? this->blobs_[1]->cpu_data() : nullptr;
   Dtype* y = top[0]->mutable_cpu_data();
+  // Coalesced (outer, scale_dim) loop: item civ is one inner_-long slice.
   const parallel::CoalescedRange range{outer_, scale_dim_};
-#pragma omp parallel for num_threads(parallel::Parallel::ResolveThreads()) \
-    schedule(static)
-  for (index_t civ = 0; civ < range.total(); ++civ) {
-    const auto idx = range.Decode(civ);
-    const index_t s = idx[1];
-    const index_t base = civ * inner_;
-    for (index_t i = 0; i < inner_; ++i) {
-      y[base + i] = x[base + i] * w[s] + (b != nullptr ? b[s] : Dtype(0));
-    }
-  }
+  parallel::ForEachChunk(
+      this->layer_param_.name + ".forward", range.total(),
+      [&](const parallel::Chunk& c) {
+        for (index_t civ = c.begin; civ < c.end; ++civ) {
+          const index_t s = range.Decode(civ)[1];
+          const index_t base = civ * inner_;
+          for (index_t i = 0; i < inner_; ++i) {
+            y[base + i] = x[base + i] * w[s] + (b != nullptr ? b[s] : Dtype(0));
+          }
+        }
+        c.Wrote(y, "top.data", c.begin * inner_, c.end * inner_);
+      });
 }
 
 template <typename Dtype>
@@ -137,57 +137,42 @@ void ScaleLayer<Dtype>::Backward_cpu_parallel(
   Dtype* dw = do_w ? this->blobs_[0]->mutable_cpu_diff() : nullptr;
   Dtype* db = do_b ? this->blobs_[1]->mutable_cpu_diff() : nullptr;
   Dtype* dx = propagate_down[0] ? bottom[0]->mutable_cpu_diff() : nullptr;
-  const int nthreads = parallel::Parallel::ResolveThreads();
-  parallel::RegionStats rstats(this->layer_param_.name + ".backward",
-                               nthreads);
-  check::WriteSetChecker* chk = rstats.checker();
-#pragma omp parallel num_threads(nthreads)
-  {
-    const int tid = omp_get_thread_num();
-    const int team = omp_get_num_threads();
-    parallel::ThreadRegionScope rscope(rstats, tid);
-    if (do_w || do_b) {
-      // Coefficient-partitioned gradients: thread t owns coefficients
-      // [begin, end) and walks their slices in the serial outer order —
-      // bit-identical to the sequential accumulation, no privatization.
-      const auto coeffs = parallel::StaticChunk(scale_dim_, team, tid);
-      if (chk != nullptr && coeffs.size() > 0) {
-        if (do_w) {
-          chk->RecordWrite(tid, dw, "weight.diff", coeffs.begin, coeffs.end);
+  // Coefficient-partitioned gradients: thread t owns coefficients
+  // [begin, end) and walks their slices in the serial outer order —
+  // bit-identical to the sequential accumulation, no privatization. The
+  // bottom gradient is a separate coalesced (outer, scale_dim) partition.
+  const parallel::CoalescedRange range{outer_, scale_dim_};
+  parallel::ForEachChunk(
+      this->layer_param_.name + ".backward", scale_dim_,
+      [&](const parallel::Chunk& c) {
+        if (dw != nullptr || db != nullptr) {
+          for (index_t s = c.begin; s < c.end; ++s) {
+            Dtype wsum = dw != nullptr ? dw[s] : Dtype(0);
+            Dtype bsum = db != nullptr ? db[s] : Dtype(0);
+            for (index_t o = 0; o < outer_; ++o) {
+              const index_t base = (o * scale_dim_ + s) * inner_;
+              for (index_t i = 0; i < inner_; ++i) {
+                if (dw != nullptr) wsum += dy[base + i] * x[base + i];
+                if (db != nullptr) bsum += dy[base + i];
+              }
+            }
+            if (dw != nullptr) dw[s] = wsum;
+            if (db != nullptr) db[s] = bsum;
+          }
+          if (dw != nullptr) c.Wrote(dw, "weight.diff", c.begin, c.end);
+          if (db != nullptr) c.Wrote(db, "bias.diff", c.begin, c.end);
         }
-        if (do_b) {
-          chk->RecordWrite(tid, db, "bias.diff", coeffs.begin, coeffs.end);
-        }
-      }
-      for (index_t s = coeffs.begin; s < coeffs.end; ++s) {
-        Dtype wsum = do_w ? dw[s] : Dtype(0);
-        Dtype bsum = do_b ? db[s] : Dtype(0);
-        for (index_t o = 0; o < outer_; ++o) {
-          const index_t base = (o * scale_dim_ + s) * inner_;
+        if (dx == nullptr) return;
+        const parallel::IterRange items = c.Share(range.total());
+        for (index_t civ = items.begin; civ < items.end; ++civ) {
+          const index_t s = range.Decode(civ)[1];
+          const index_t base = civ * inner_;
           for (index_t i = 0; i < inner_; ++i) {
-            if (do_w) wsum += dy[base + i] * x[base + i];
-            if (do_b) bsum += dy[base + i];
+            dx[base + i] = dy[base + i] * w[s];
           }
         }
-        if (do_w) dw[s] = wsum;
-        if (do_b) db[s] = bsum;
-      }
-    }
-    if (dx != nullptr) {
-      const parallel::CoalescedRange range{outer_, scale_dim_};
-#pragma omp for schedule(static)
-      for (index_t civ = 0; civ < range.total(); ++civ) {
-        const index_t s = range.Decode(civ)[1];
-        const index_t base = civ * inner_;
-        for (index_t i = 0; i < inner_; ++i) {
-          dx[base + i] = dy[base + i] * w[s];
-        }
-        if (chk != nullptr) {
-          chk->RecordWrite(tid, dx, "bottom.diff", base, base + inner_);
-        }
-      }
-    }
-  }
+        c.Wrote(dx, "bottom.diff", items.begin * inner_, items.end * inner_);
+      });
 }
 
 // -------------------------------------------------------------------- Bias
@@ -243,13 +228,16 @@ void BiasLayer<Dtype>::Forward_cpu_parallel(
   const Dtype* b = this->blobs_[0]->cpu_data();
   Dtype* y = top[0]->mutable_cpu_data();
   const parallel::CoalescedRange range{outer_, bias_dim_};
-#pragma omp parallel for num_threads(parallel::Parallel::ResolveThreads()) \
-    schedule(static)
-  for (index_t civ = 0; civ < range.total(); ++civ) {
-    const index_t s = range.Decode(civ)[1];
-    const index_t base = civ * inner_;
-    for (index_t i = 0; i < inner_; ++i) y[base + i] = x[base + i] + b[s];
-  }
+  parallel::ForEachChunk(
+      this->layer_param_.name + ".forward", range.total(),
+      [&](const parallel::Chunk& c) {
+        for (index_t civ = c.begin; civ < c.end; ++civ) {
+          const index_t s = range.Decode(civ)[1];
+          const index_t base = civ * inner_;
+          for (index_t i = 0; i < inner_; ++i) y[base + i] = x[base + i] + b[s];
+        }
+        c.Wrote(y, "top.data", c.begin * inner_, c.end * inner_);
+      });
 }
 
 template <typename Dtype>
@@ -281,29 +269,21 @@ void BiasLayer<Dtype>::Backward_cpu_parallel(
   const Dtype* dy = top[0]->cpu_diff();
   const bool do_b = this->param_propagate_down(0);
   Dtype* db = do_b ? this->blobs_[0]->mutable_cpu_diff() : nullptr;
-  const int nthreads = parallel::Parallel::ResolveThreads();
   if (do_b) {
-    parallel::RegionStats rstats(this->layer_param_.name + ".backward",
-                                 nthreads);
-    check::WriteSetChecker* chk = rstats.checker();
-#pragma omp parallel num_threads(nthreads)
-    {
-      const int tid = omp_get_thread_num();
-      parallel::ThreadRegionScope rscope(rstats, tid);
-      const auto coeffs =
-          parallel::StaticChunk(bias_dim_, omp_get_num_threads(), tid);
-      if (chk != nullptr && coeffs.size() > 0) {
-        chk->RecordWrite(tid, db, "bias.diff", coeffs.begin, coeffs.end);
-      }
-      for (index_t s = coeffs.begin; s < coeffs.end; ++s) {
-        Dtype sum = db[s];
-        for (index_t o = 0; o < outer_; ++o) {
-          const index_t base = (o * bias_dim_ + s) * inner_;
-          for (index_t i = 0; i < inner_; ++i) sum += dy[base + i];
-        }
-        db[s] = sum;
-      }
-    }
+    // Coefficient-partitioned, as in ScaleLayer's backward.
+    parallel::ForEachChunk(
+        this->layer_param_.name + ".backward", bias_dim_,
+        [&](const parallel::Chunk& c) {
+          for (index_t s = c.begin; s < c.end; ++s) {
+            Dtype sum = db[s];
+            for (index_t o = 0; o < outer_; ++o) {
+              const index_t base = (o * bias_dim_ + s) * inner_;
+              for (index_t i = 0; i < inner_; ++i) sum += dy[base + i];
+            }
+            db[s] = sum;
+          }
+          c.Wrote(db, "bias.diff", c.begin, c.end);
+        });
   }
   if (propagate_down[0] && bottom[0] != top[0]) {
     blas::copy(bottom[0]->count(), dy, bottom[0]->mutable_cpu_diff());

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "cgdnn/blas/blas.hpp"
+#include "cgdnn/parallel/region.hpp"
 
 namespace cgdnn {
 
@@ -167,11 +168,15 @@ void ArgMaxLayer<Dtype>::Forward_cpu_parallel(
   const Dtype* scores = bottom[0]->cpu_data();
   Dtype* out = top[0]->mutable_cpu_data();
   const index_t num = bottom[0]->shape(0);
-#pragma omp parallel for num_threads(parallel::Parallel::ResolveThreads()) \
-    schedule(static)
-  for (index_t n = 0; n < num; ++n) {
-    ForwardSample(scores, out, n);
-  }
+  const index_t out_dim = out_max_val_ ? 2 * top_k_ : top_k_;
+  parallel::ForEachChunk(this->layer_param_.name + ".forward", num,
+                         [&](const parallel::Chunk& c) {
+                           for (index_t n = c.begin; n < c.end; ++n) {
+                             ForwardSample(scores, out, n);
+                           }
+                           c.Wrote(out, "top.data", c.begin * out_dim,
+                                   c.end * out_dim);
+                         });
 }
 
 #define CGDNN_INSTANTIATE_SHAPE(Layer) \

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "cgdnn/parallel/coalesce.hpp"
+#include "cgdnn/parallel/region.hpp"
 
 namespace cgdnn {
 
@@ -56,6 +56,31 @@ void SoftmaxLayer<Dtype>::BackwardPosition(const Dtype* top_data,
 }
 
 template <typename Dtype>
+template <typename PositionFn>
+void SoftmaxLayer<Dtype>::ForEachPositionChunk(const char* phase,
+                                               const Dtype* written,
+                                               const char* blob,
+                                               const PositionFn& fn) const {
+  // Coalesced (outer, inner) loop; a position's channels are strided by
+  // inner_num_, so each one is declared as its own element.
+  const parallel::CoalescedRange range{outer_num_, inner_num_};
+  parallel::ForEachChunk(
+      this->layer_param_.name + phase, range.total(),
+      [&](const parallel::Chunk& c) {
+        for (index_t civ = c.begin; civ < c.end; ++civ) {
+          const auto idx = range.Decode(civ);
+          const index_t outer = idx[0], inner = idx[1];
+          fn(outer, inner);
+          const index_t base = outer * channels_ * inner_num_ + inner;
+          for (index_t ch = 0; c.checking() && ch < channels_; ++ch) {
+            c.Wrote(written, blob, base + ch * inner_num_,
+                    base + ch * inner_num_ + 1);
+          }
+        }
+      });
+}
+
+template <typename Dtype>
 void SoftmaxLayer<Dtype>::Forward_cpu(const std::vector<Blob<Dtype>*>& bottom,
                                       const std::vector<Blob<Dtype>*>& top) {
   const Dtype* bottom_data = bottom[0]->cpu_data();
@@ -73,13 +98,10 @@ void SoftmaxLayer<Dtype>::Forward_cpu_parallel(
     const std::vector<Blob<Dtype>*>& top) {
   const Dtype* bottom_data = bottom[0]->cpu_data();
   Dtype* top_data = top[0]->mutable_cpu_data();
-  const int nthreads = parallel::Parallel::ResolveThreads();
-  const parallel::CoalescedRange range{outer_num_, inner_num_};
-#pragma omp parallel for num_threads(nthreads) schedule(static)
-  for (index_t civ = 0; civ < range.total(); ++civ) {
-    const auto idx = range.Decode(civ);
-    ForwardPosition(bottom_data, top_data, idx[0], idx[1]);
-  }
+  ForEachPositionChunk(".forward", top_data, "top.data",
+                       [&](index_t outer, index_t inner) {
+                         ForwardPosition(bottom_data, top_data, outer, inner);
+                       });
 }
 
 template <typename Dtype>
@@ -106,13 +128,11 @@ void SoftmaxLayer<Dtype>::Backward_cpu_parallel(
   const Dtype* top_data = top[0]->cpu_data();
   const Dtype* top_diff = top[0]->cpu_diff();
   Dtype* bottom_diff = bottom[0]->mutable_cpu_diff();
-  const int nthreads = parallel::Parallel::ResolveThreads();
-  const parallel::CoalescedRange range{outer_num_, inner_num_};
-#pragma omp parallel for num_threads(nthreads) schedule(static)
-  for (index_t civ = 0; civ < range.total(); ++civ) {
-    const auto idx = range.Decode(civ);
-    BackwardPosition(top_data, top_diff, bottom_diff, idx[0], idx[1]);
-  }
+  ForEachPositionChunk(".backward", bottom_diff, "bottom.diff",
+                       [&](index_t outer, index_t inner) {
+                         BackwardPosition(top_data, top_diff, bottom_diff,
+                                          outer, inner);
+                       });
 }
 
 template class SoftmaxLayer<float>;

@@ -36,6 +36,11 @@ class SoftmaxLayer : public Layer<Dtype> {
                        index_t outer, index_t inner) const;
   void BackwardPosition(const Dtype* top_data, const Dtype* top_diff,
                         Dtype* bottom_diff, index_t outer, index_t inner) const;
+  /// Runs fn(outer, inner) for every position in one parallel region and
+  /// declares each position's channel writes to `written`.
+  template <typename PositionFn>
+  void ForEachPositionChunk(const char* phase, const Dtype* written,
+                            const char* blob, const PositionFn& fn) const;
 
   index_t outer_num_ = 0;
   index_t channels_ = 0;

@@ -17,18 +17,18 @@
 // `ipc_last` / `llc_miss_rate_last` gauges. Counters missing on the host
 // record nothing — output fields are absent, never zeroed.
 //
-// Usage (layer code):
-//   parallel::RegionStats rs("conv1.forward", nthreads);
+// Layers never use these directly: the region helper (region.hpp) wraps
+// every layer region in them. Its internals, for other region owners:
+//   parallel::RegionStats rs("conv1.forward", nthreads);  // serial
 //   #pragma omp parallel num_threads(nthreads)
 //   {
-//     ...
 //     {
-//       parallel::ThreadRegionScope scope(rs, tid);
-//       #pragma omp for schedule(static) nowait   // nowait: the scope must
-//       for (...) { ... }                         // not time barrier waits
+//       parallel::ThreadRegionScope scope(rs, tid);  // times only the
+//       body(chunk);                                 // thread's own work
 //     }
-//     #pragma omp barrier    // restore the worksharing barrier if needed
-//   }
+//     #pragma omp barrier    // before any merge of private sums
+//   }                        // ~RegionStats after the join: metrics and
+//                            // write-set verification
 //
 // When neither tracing nor metrics collection is active the constructor
 // reads one atomic flag and every hook is a no-op — the disabled cost is a
@@ -78,10 +78,9 @@ class RegionStats {
   perfctr::Delta TotalDelta() const;
 
   /// The region's write-set checker: non-null only while cgdnn-check is
-  /// armed (CGDNN_CHECK=on / check::ScopedEnable). Layers record their
-  /// shared-buffer writes through it:
-  ///   if (auto* chk = rstats.checker())
-  ///     chk->RecordWrite(tid, top_data, "top.data", begin, end);
+  /// armed (CGDNN_CHECK=on / check::ScopedEnable). The region helper hands
+  /// it to each Chunk, whose Wrote() forwards the layer's declared
+  /// shared-buffer writes to RecordWrite.
   check::WriteSetChecker* checker() { return checker_.get(); }
 
  private:

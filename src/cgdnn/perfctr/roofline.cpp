@@ -42,9 +42,8 @@ MachinePeak MeasureMachinePeak(int threads, index_t gemm_dim,
       c[t].assign(n2, 0.0f);
     }
     double best_s = 0;
-    // Measurement probe: instrumenting it would perturb the peak it exists
-    // to measure.
-    // cgdnn-lint: allow(instrumented-region)
+    // Measurement probe, deliberately uninstrumented: region spans would
+    // perturb the peak it exists to measure.
 #pragma omp parallel num_threads(peak.threads)
     {
       const std::size_t t = static_cast<std::size_t>(omp_get_thread_num());

@@ -9,10 +9,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "cgdnn/core/rng.hpp"
 #include "cgdnn/layers/layer.hpp"
+#include "cgdnn/parallel/context.hpp"
 
 namespace cgdnn::testing {
 
@@ -55,10 +57,32 @@ class GradientChecker {
   }
 
   /// top_data_id == -1 seeds every element of top[top_id] with 1.
+  ///
+  /// Checks both implementations of the layer: the serial reference
+  /// (Forward_cpu/Backward_cpu, at 1 thread) and the partitioned
+  /// Forward_cpu_parallel/Backward_cpu_parallel at a fixed 3 threads —
+  /// fixed rather than the host's core count, so which code is checked
+  /// never depends on the machine, and a 1-core host still runs the
+  /// partitioned path.
   void CheckGradientSingle(Layer<Dtype>& layer,
                            const std::vector<Blob<Dtype>*>& bottom,
                            const std::vector<Blob<Dtype>*>& top,
                            int check_bottom, int top_id, index_t top_data_id) {
+    for (const int threads : {1, 3}) {
+      parallel::ParallelConfig cfg = parallel::Parallel::Config();
+      cfg.mode = parallel::ExecutionMode::kCoarseGrain;
+      cfg.num_threads = threads;
+      parallel::Parallel::Scope scope(cfg);
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      CheckGradientAt(layer, bottom, top, check_bottom, top_id, top_data_id);
+    }
+  }
+
+ private:
+  void CheckGradientAt(Layer<Dtype>& layer,
+                       const std::vector<Blob<Dtype>*>& bottom,
+                       const std::vector<Blob<Dtype>*>& top, int check_bottom,
+                       int top_id, index_t top_data_id) {
     // Gather all blobs whose gradient we verify.
     std::vector<Blob<Dtype>*> blobs_to_check;
     std::vector<bool> propagate_down(bottom.size(), check_bottom == -1);
@@ -111,7 +135,6 @@ class GradientChecker {
     }
   }
 
- private:
   void SeedTopDiffs(Layer<Dtype>& layer, const std::vector<Blob<Dtype>*>& top,
                     int top_id, index_t top_data_id) {
     for (std::size_t i = 0; i < top.size(); ++i) {

@@ -11,6 +11,8 @@
 #include <filesystem>
 #include <string>
 
+#include <unistd.h>
+
 #include "cgdnn/data/io.hpp"
 #include "cgdnn/plan/plan_cache.hpp"
 
@@ -41,7 +43,11 @@ plan::ExecutionPlan FaultPlanFixture() {
 class PlanCacheFaults : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "cgdnn_plan_cache_faults";
+    // One directory per test and process: ctest -j runs the cases of this
+    // fixture concurrently, and a shared directory races on rename.
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = ::testing::TempDir() + "cgdnn_plan_cache_faults_" + info->name() +
+           "_" + std::to_string(::getpid());
     std::filesystem::remove_all(dir_);
     plan_ = FaultPlanFixture();
     key_ = plan::PlanCacheKey{plan_.net_signature, plan_.batch,
@@ -50,6 +56,7 @@ class PlanCacheFaults : public ::testing::Test {
     plan::StorePlan(plan_, dir_);
     ASSERT_TRUE(std::filesystem::exists(path_));
   }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
 
   std::string dir_;
   std::string path_;

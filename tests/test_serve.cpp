@@ -222,7 +222,24 @@ serve::RequestPtr MakeRequest(const serve::Server& server, Collector* c,
   return req;
 }
 
+// The contract check itself: two workers each running a 2-thread intra-op
+// team would share the privatization arenas, so Start must refuse.
+TEST(ServeTest, StartRejectsWorkersTimesIntraOpThreads) {
+  parallel::Parallel::Scope two_threads(ThreadsConfig(2));
+  SeedGlobalRng(7);
+  data::ClearDatasetCache();
+  serve::ServerOptions opts;
+  opts.workers = 2;
+  opts.max_batch = 4;
+  opts.plan_cache = false;
+  serve::Server server(SmallLeNet(), opts);
+  EXPECT_THROW(server.Start(), Error);
+}
+
 TEST(ServeTest, ServerForwardsAndDrainsGracefully) {
+  // Two workers require serial intra-op forwards (Server::Start contract);
+  // the library default would be one thread per core.
+  parallel::Parallel::Scope serial_intra_op(ThreadsConfig(1));
   SeedGlobalRng(7);
   data::ClearDatasetCache();
   serve::ServerOptions opts;
@@ -333,6 +350,9 @@ TEST(ServeTest, DegradationLadderShedsBatchClassUnderSustainedOverload) {
 }
 
 TEST(ServeTest, StalledWorkerIsExcludedAndPoolKeepsServing) {
+  // Two workers require serial intra-op forwards (Server::Start contract);
+  // the library default would be one thread per core.
+  parallel::Parallel::Scope serial_intra_op(ThreadsConfig(1));
   SeedGlobalRng(7);
   data::ClearDatasetCache();
   // Worker 0 stalls hard (10s per batch) against a 2s hang deadline. The
@@ -462,6 +482,9 @@ TEST(ServeTest, PercentileIsExact) {
 }
 
 TEST(ServeTest, LoadGeneratorDrivesServerEndToEnd) {
+  // Two workers require serial intra-op forwards (Server::Start contract);
+  // the library default would be one thread per core.
+  parallel::Parallel::Scope serial_intra_op(ThreadsConfig(1));
   SeedGlobalRng(7);
   data::ClearDatasetCache();
   serve::ServerOptions opts;

@@ -28,6 +28,7 @@
 #include "cgdnn/core/rng.hpp"
 #include "cgdnn/data/dataset.hpp"
 #include "cgdnn/net/models.hpp"
+#include "cgdnn/parallel/context.hpp"
 #include "cgdnn/plan/json_lite.hpp"
 #include "cgdnn/serve/loadgen.hpp"
 #include "cgdnn/serve/server.hpp"
@@ -43,6 +44,13 @@ proto::NetParameter SmallLeNet() {
   opts.batch_size = 8;
   opts.num_samples = 32;
   return models::LeNet(opts);
+}
+
+parallel::ParallelConfig SerialIntraOp() {
+  parallel::ParallelConfig cfg;
+  cfg.mode = parallel::ExecutionMode::kSerial;
+  cfg.num_threads = 1;
+  return cfg;
 }
 
 constexpr std::uint64_t kNsPerSec = 1'000'000'000ull;
@@ -122,6 +130,9 @@ TEST(ServeStatsTest, SlidingCounterExpires) {
 // queue_wait + batch_form + compute + complete == total (shared ns stamps,
 // so the identity is exact up to double rounding).
 TEST(ServeStatsTest, StageDurationsTelescopeToTotal) {
+  // Two workers require serial intra-op forwards (Server::Start contract);
+  // the library default would be one thread per core.
+  parallel::Parallel::Scope serial_intra_op(SerialIntraOp());
   SeedGlobalRng(7);
   data::ClearDatasetCache();
   serve::ServerOptions opts;
@@ -194,6 +205,9 @@ TEST(ServeStatsTest, StageDurationsTelescopeToTotal) {
 // worker-side request span — the Chrome-trace form Perfetto renders as a
 // cross-thread arrow. Parse the real WriteChromeTrace output.
 TEST(ServeStatsTest, FlowEventsConnectSubmitToWorkerAcrossThreads) {
+  // Two workers require serial intra-op forwards (Server::Start contract);
+  // the library default would be one thread per core.
+  parallel::Parallel::Scope serial_intra_op(SerialIntraOp());
   auto& tracer = trace::Tracer::Get();
   tracer.Clear();
   tracer.Start();

@@ -1,7 +1,9 @@
-// Fixture: applying a fused elementwise epilogue inside a parallel loop
-// moves another layer's writes into this construct. Doing it from a bare
-// combined parallel-for loses both the ThreadRegionScope imbalance
-// accounting and the write-set checker's view of the fused writes.
+// Fixture: a layer applying a fused elementwise epilogue from its own
+// combined parallel-for moves another layer's writes into a loop the region
+// helper never sees — no ThreadRegionScope imbalance accounting, no
+// write-set check of the fused writes, no exception capture. Layer code
+// opens no OpenMP construct at all.
+// cgdnn-lint: layer-code
 #include <cstdint>
 
 struct Epilogue {
@@ -10,8 +12,7 @@ struct Epilogue {
 
 void BadFusedWithoutDiscipline(float* top, std::int64_t num, std::int64_t dim,
                                const Epilogue* ep) {
-  // EXPECT: fused-instrumented
-  // EXPECT: fused-instrumented
+  // EXPECT: layer-pragma
 #pragma omp parallel for schedule(static)
   for (std::int64_t n = 0; n < num; ++n) {
     ep->ApplyForward(top + n * dim, n * dim, dim);

@@ -1,6 +1,7 @@
 // Fixture: the canonical cgdnn parallel-region idiom — RegionStats +
 // ThreadRegionScope, nowait worksharing loop, explicit barrier, ordered
-// gradient merge. This is the shape every layer's backward pass follows.
+// gradient merge. Outside layer code (the region helper and the benches)
+// hand-written regions remain legal.
 #include <cstdint>
 
 void GoodCanonicalRegion(float* dest, float* const* parts, float* priv,

@@ -1,12 +1,15 @@
-// Fixture: a measurement probe legitimately opts out of instrumentation
-// with a suppression comment naming the rule (the roofline probes do this —
-// instrumenting them would perturb the peaks they measure).
+// Fixture: a measurement probe in layer code may opt out of the region
+// helper with a suppression comment naming the rule on each construct
+// (instrumenting a probe would perturb what it measures). GlobalRng is the
+// sanctioned generator: referencing it inside a helper body is not flagged.
+// cgdnn-lint: layer-code
 #include <cstdint>
 
 void GoodSuppressedProbe(float* y, std::int64_t n) {
-  // cgdnn-lint: allow(instrumented-region)
+  // cgdnn-lint: allow(layer-pragma)
 #pragma omp parallel num_threads(4)
   {
+    // cgdnn-lint: allow(layer-pragma)
 #pragma omp for schedule(static)
     for (std::int64_t i = 0; i < n; ++i) {
       y[i] = 1.0f;
@@ -15,11 +18,7 @@ void GoodSuppressedProbe(float* y, std::int64_t n) {
 }
 
 void GoodGlobalRngUse(float* y, std::int64_t n) {
-  // GlobalRng is the sanctioned generator; referencing it is not flagged
-  // (layers call it from serial setup code).
   const float seed_val = 0.5f;  // from GlobalRng() in real code
-#pragma omp parallel for num_threads(4) schedule(static)
-  for (std::int64_t i = 0; i < n; ++i) {
-    y[i] = seed_val;
-  }
+  parallel::ForEachElement("probe.forward", n, y, "top.data",
+                           [&](std::int64_t i) { y[i] = seed_val; });
 }

@@ -9,26 +9,18 @@ paper's bit-identity argument rests on (docs/correctness.md):
                        the ordered merge (requires the `ordered` clause);
                        dynamic/guided/runtime/auto break the deterministic
                        sample->thread mapping and are always errors.
-  instrumented-region  Block-form `#pragma omp parallel` regions must use the
-                       ThreadRegionScope / TRACE_SCOPE instrumentation idiom
-                       (which doubles as the cgdnn-check write-phase hook).
   no-unsafe-calls      No rand()/srand()/time()/clock()/std::random_device/
                        std::mt19937/drand48-family calls inside parallel
-                       constructs: per-thread nondeterminism breaks the
-                       serial-equivalence claim. GlobalRng (serial-side,
+                       constructs, or inside the bodies layer code hands to
+                       the region helper: per-thread nondeterminism breaks
+                       the serial-equivalence claim. GlobalRng (serial-side,
                        checkpointed) is the only sanctioned randomness.
-  nowait-barrier       A `nowait` worksharing loop must be followed by an
-                       explicit `#pragma omp barrier` or a gradient merge
-                       (AccumulatePrivate) before any further statement in
-                       the region; ending the region immediately (implicit
-                       barrier) is also fine.
-  fused-instrumented   A parallel construct that applies a fused elementwise
-                       epilogue (FusedEpilogue::ApplyForward) must keep the
-                       full region discipline: ThreadRegionScope/TRACE_SCOPE
-                       instrumentation AND a write-set RecordWrite covering
-                       the fused writes. Fusion moves another layer's writes
-                       into the producer's loop — they must not escape the
-                       checker or the imbalance accounting.
+  layer-pragma         Layer code (src/cgdnn/layers/, and fixtures marked
+                       `// cgdnn-lint: layer-code`) contains no `#pragma omp`,
+                       no <omp.h> and no omp_* calls. Every layer loop goes
+                       through parallel/region.hpp, which owns the region
+                       instrumentation, write-set forwarding, barrier, merge
+                       and exception capture once for all layers.
 
 Suppressions: a comment `// cgdnn-lint: allow(rule[, rule...])` on the pragma
 line or the line directly above it silences those rules for that construct.
@@ -51,10 +43,8 @@ import sys
 
 RULES = {
     "static-schedule",
-    "instrumented-region",
     "no-unsafe-calls",
-    "nowait-barrier",
-    "fused-instrumented",
+    "layer-pragma",
 }
 
 PRAGMA_RE = re.compile(r"^\s*#\s*pragma\s+omp\b(?P<clauses>.*)$")
@@ -69,10 +59,12 @@ UNSAFE_CALL_RE = re.compile(
 )
 UNSAFE_TYPE_RE = re.compile(r"\b(random_device|mt19937(?:_64)?|minstd_rand0?)\b")
 SANCTIONED_RNG = "GlobalRng"
-INSTRUMENT_TOKENS = ("ThreadRegionScope", "TRACE_SCOPE")
-MERGE_TOKENS = ("AccumulatePrivate",)
-FUSED_TOKENS = ("ApplyForward",)
-WRITE_RECORD_TOKENS = ("RecordWrite",)
+LAYER_MARKER_RE = re.compile(r"//\s*cgdnn-lint:\s*layer-code\b")
+LAYER_DIR = "src/cgdnn/layers/"
+# OpenMP outside a pragma: the runtime header and its API calls.
+OMP_API_RE = re.compile(r"#\s*include\s*<omp\.h>|\bomp_\w+\s*\(")
+# Region-helper entry points whose body (a lambda) runs on every thread.
+HELPER_CALL_RE = re.compile(r"\bForEach(?:Chunk|ChunkPrivate|Element)\b")
 
 
 @dataclasses.dataclass
@@ -235,41 +227,6 @@ class FileLinter:
                             f"schedule(static, {chunk}) is only allowed as "
                             "schedule(static, 1) on the ordered merge loop")
 
-    def check_region_body(self, p: Pragma, body: str) -> None:
-        if "instrumented-region" not in p.allowed and not any(
-                tok in body for tok in INSTRUMENT_TOKENS):
-            self.report(p.line, "instrumented-region",
-                        "parallel region without ThreadRegionScope/"
-                        "TRACE_SCOPE instrumentation")
-        self.check_unsafe_calls(p, body)
-        self.check_fused(p, body)
-
-    def check_fused(self, p: Pragma, body: str,
-                    require_instrumentation: bool = True) -> None:
-        """Fused-epilogue application keeps the full region discipline.
-
-        A bare `omp for` inside a block-form region inherits the region's
-        ThreadRegionScope (checked at the region level), so only constructs
-        that start a parallel region demand instrumentation in their own
-        body; the RecordWrite requirement applies everywhere.
-        """
-        if "fused-instrumented" in p.allowed:
-            return
-        if not any(tok in body for tok in FUSED_TOKENS):
-            return
-        if require_instrumentation and not any(
-                tok in body for tok in INSTRUMENT_TOKENS):
-            self.report(p.line, "fused-instrumented",
-                        "fused epilogue applied in a parallel construct "
-                        "without ThreadRegionScope/TRACE_SCOPE "
-                        "instrumentation")
-        if not any(tok in body for tok in WRITE_RECORD_TOKENS):
-            self.report(p.line, "fused-instrumented",
-                        "fused epilogue applied without a write-set "
-                        "RecordWrite: the consumer's in-place writes moved "
-                        "into this loop and must stay visible to the "
-                        "checker")
-
     def check_unsafe_calls(self, p: Pragma, body: str) -> None:
         if "no-unsafe-calls" in p.allowed:
             return
@@ -281,27 +238,32 @@ class FileLinter:
                         "per-thread nondeterminism breaks serial "
                         "equivalence (use GlobalRng from serial code)")
 
-    def check_nowait(self, p: Pragma, loop_end: int, region_end: int) -> None:
-        """Lines (loop_end, region_end) after a nowait loop must start with a
-        barrier or a merge before any other statement."""
-        if "nowait-barrier" in p.allowed:
-            return
-        for idx in range(loop_end + 1, region_end):
-            stripped = self.lines[idx].strip()
-            if not stripped or all(ch in "{}" for ch in stripped):
-                continue
-            m = PRAGMA_RE.match(stripped)
-            if m:
-                if "barrier" in m.group("clauses").split():
-                    return
-                continue  # other pragmas (e.g. a following loop) keep scanning
-            if any(tok in stripped for tok in MERGE_TOKENS):
-                return
-            self.report(p.line, "nowait-barrier",
-                        "statement after a nowait worksharing loop without "
-                        "an intervening '#pragma omp barrier' or gradient "
-                        f"merge (line {idx + 1})")
-            return
+    def is_layer_code(self) -> bool:
+        return (LAYER_DIR in self.path.resolve().as_posix() or any(
+            LAYER_MARKER_RE.search(line) for line in self.raw_lines))
+
+    def check_layer_code(self, pragmas: list[Pragma]) -> None:
+        """Layer code hands its loops to the region helper: no OpenMP of its
+        own, and no unsafe calls in the bodies it passes."""
+        for p in pragmas:
+            if "layer-pragma" not in p.allowed:
+                self.report(p.line, "layer-pragma",
+                            f"'#pragma omp {p.text}' in layer code: wrap the "
+                            "loop in parallel::ForEachChunk / "
+                            "ForEachChunkPrivate (parallel/region.hpp)")
+        for idx, line in enumerate(self.lines):
+            m = OMP_API_RE.search(line)
+            if m and "layer-pragma" not in self.allow_set(idx):
+                self.report(idx + 1, "layer-pragma",
+                            f"'{m.group(0).strip()}' in layer code: the "
+                            "OpenMP runtime belongs to parallel/region.hpp")
+            if HELPER_CALL_RE.search(line):
+                open_idx, close_idx = self.match_braces(idx)
+                if open_idx >= 0:
+                    body = "\n".join(self.lines[open_idx:close_idx + 1])
+                    self.check_unsafe_calls(
+                        Pragma(idx + 1, idx + 1, "", self.allow_set(idx)),
+                        body)
 
     # ----------------------------------------------------------------- run
     def run(self) -> list[Finding]:
@@ -315,45 +277,14 @@ class FileLinter:
                                             and words[1] == "for")
             if is_loop:
                 self.check_schedule(p)
-            if is_parallel and not is_loop:
-                open_idx, close_idx = self.match_braces(p.end_line)
-                if open_idx >= 0:
-                    body = "\n".join(self.lines[open_idx:close_idx + 1])
-                    self.check_region_body(p, body)
-                    self.scan_nowait_loops(open_idx, close_idx)
-            elif is_loop:
+            if is_parallel or is_loop:
                 open_idx, close_idx = self.match_braces(p.end_line)
                 if open_idx >= 0:
                     body = "\n".join(self.lines[open_idx:close_idx + 1])
                     self.check_unsafe_calls(p, body)
-                    # A combined parallel-for cannot host ThreadRegionScope
-                    # (fused work there always needs the block form); a bare
-                    # `omp for` inherits its enclosing region's scope.
-                    self.check_fused(p, body,
-                                     require_instrumentation=is_parallel)
+        if self.is_layer_code():
+            self.check_layer_code(pragmas)
         return self.findings
-
-    def scan_nowait_loops(self, region_open: int, region_close: int) -> None:
-        idx = region_open
-        while idx <= region_close:
-            m = PRAGMA_RE.match(self.lines[idx])
-            if m:
-                clauses = m.group("clauses")
-                p_line = idx
-                while clauses.rstrip().endswith("\\") and idx + 1 <= region_close:
-                    clauses = clauses.rstrip()[:-1] + " " + self.lines[idx + 1].strip()
-                    idx += 1
-                words = clauses.split()
-                if words and words[0] == "for" and "nowait" in words:
-                    _, loop_close = self.match_braces(idx + 1)
-                    if loop_close > 0:
-                        self.check_nowait(
-                            Pragma(p_line + 1, idx + 1, " ".join(words),
-                                   self.allow_set(p_line)),
-                            loop_close, region_close)
-                        idx = loop_close
-            idx += 1
-
 
 def lint_paths(paths: list[pathlib.Path]) -> list[Finding]:
     findings: list[Finding] = []
