@@ -6,10 +6,10 @@
 //  * fine-grain: one gemm over the whole batch, rows parallelized inside
 //    the kernel (a threaded-OpenBLAS stand-in);
 //  * coarse-grain: each thread runs the serial kernel on its sample chunk.
-// On a 1-core host both collapse to similar wall time; the interesting
-// output is the modelled comparison plus the demonstration that BOTH give
-// identical results (row independence), while the coarse-grain one needs
-// no BLAS support at all — the paper's network-agnostic argument.
+// Both are timed on the host that runs the bench; beyond the wall times,
+// the point is that BOTH give identical results (row independence) while
+// the coarse-grain one needs no BLAS support at all — the paper's
+// network-agnostic argument.
 #include <omp.h>
 
 #include <cmath>

@@ -7,7 +7,8 @@
 // effect two ways:
 //  1. analytically — exact static-chunk makespans of the pool1 layer's
 //     iteration space with and without coalescing;
-//  2. via the multicore model — simulated pool1 forward time both ways.
+//  2. measured — pool1 forward time at 1..nproc threads with
+//     ParallelConfig::coalesce on and off (the shared thread sweep).
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -21,7 +22,7 @@ int main() {
 
   printf("%8s %22s %22s %12s\n", "threads", "coalesced_makespan",
          "batch_only_makespan", "advantage");
-  for (const int t : bench::kThreadSweep) {
+  for (const int t : {1, 2, 4, 8, 12, 16}) {
     // Slowest-thread share of the iteration space (1.0 = serial).
     const auto makespan = [&](index_t total) {
       index_t max_chunk = 0;
@@ -41,32 +42,31 @@ int main() {
     report.Add("makespan", "batch_only", col, batch_only);
   }
 
-  std::cout << "\nSimulated pool1 forward time (us), 16-core Xeon model, via "
-               "iteration-space choice:\n";
-  auto ctx = bench::PrepareMnist(/*batch=*/64, /*measure_iters=*/2);
-  for (std::size_t li = 0; li < ctx.work.size(); ++li) {
-    if (ctx.work[li].name != "pool1") continue;
-    const sim::LayerWork* prev = li > 0 ? &ctx.work[li - 1] : nullptr;
-    sim::LayerWork coalesced = ctx.work[li];
-    sim::LayerWork batch_only = ctx.work[li];
-    batch_only.forward.par_iters = 64;  // bare batch loop
-    printf("%8s %14s %14s\n", "threads", "coalesced", "batch-only");
-    for (const int t : bench::kThreadSweep) {
-      const double c_us =
-          ctx.cpu.SimulatePass(coalesced, coalesced.forward, prev, t, false);
-      const double b_us =
-          ctx.cpu.SimulatePass(batch_only, batch_only.forward, prev, t,
-                               false);
-      printf("%8d %14.0f %14.0f\n", t, c_us, b_us);
-      auto& report = bench::BenchReport::Get();
-      const std::string col = std::to_string(t) + "T";
-      report.Add("pool1_fwd_us", "coalesced", col, c_us);
-      report.Add("pool1_fwd_us", "batch_only", col, b_us);
-    }
+  std::cout << "\nMeasured pool1 forward time (us, p50; BENCH json carries "
+               "min/p50/max):\n";
+  parallel::ParallelConfig bare;
+  bare.coalesce = false;
+  const auto coalesced = bench::PrepareMnist(/*batch=*/64, /*iterations=*/5);
+  const auto batch_only = bench::PrepareMnist(64, 5, bare);
+  const SweepRow* c_row =
+      coalesced.sweep.Find("pool1", profile::LayerPhase::kForward);
+  const SweepRow* b_row =
+      batch_only.sweep.Find("pool1", profile::LayerPhase::kForward);
+  CGDNN_CHECK(c_row != nullptr && b_row != nullptr) << "pool1 did not run";
+  printf("%8s %14s %14s\n", "threads", "coalesced", "batch-only");
+  for (const int t : coalesced.sweep.threads) {
+    const auto& c_us = c_row->by_threads.at(t).time;
+    const auto& b_us = b_row->by_threads.at(t).time;
+    printf("%8d %14.0f %14.0f\n", t, c_us.p50_us(), b_us.p50_us());
+    auto& report = bench::BenchReport::Get();
+    const std::string key = std::to_string(t) + "T";
+    report.AddSpread("pool1_fwd_us.coalesced", key, c_us);
+    report.AddSpread("pool1_fwd_us.batch_only", key, b_us);
   }
-  std::cout << "\n(the 12-thread row shows the paper's point: 64 samples "
-               "over 12 threads quantize to 6-sample chunks, an 11% bubble, "
-               "while 1280 coalesced planes split almost evenly)\n";
+  std::cout << "\n(the makespan table's 12-thread row shows the paper's "
+               "point: 64 samples over 12 threads quantize to 6-sample "
+               "chunks, an 11% bubble, while 1280 coalesced planes split "
+               "almost evenly)\n";
   bench::BenchReport::Get().Write("abl_coalescing");
   return 0;
 }

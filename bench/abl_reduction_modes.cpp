@@ -3,8 +3,8 @@
 //  * the final loss and its divergence from the serial trajectory,
 //  * run-to-run reproducibility (the paper's reason to prefer ordered
 //    during tuning/debugging),
-//  * measured merge wall-time on this host (oversubscribed threads), and
-//  * the modelled merge cost at 16 threads.
+//  * measured training wall time under each merge mode on the host that
+//    runs it (4 threads, oversubscribed on smaller hosts).
 #include <iostream>
 #include <vector>
 

@@ -9,83 +9,111 @@
 #include "cgdnn/core/buildinfo.hpp"
 #include "cgdnn/core/rng.hpp"
 #include "cgdnn/data/dataset.hpp"
-#include "cgdnn/parallel/context.hpp"
-#include "cgdnn/profile/timer.hpp"
 
 namespace cgdnn::bench {
 
-double FigureContext::SerialTotalUs() const {
-  double total = 0;
-  for (const auto& w : work) {
-    total += w.forward.serial_us + w.backward.serial_us;
-  }
-  return total;
+namespace {
+
+using profile::LayerPhase;
+
+std::string ThreadCol(int t) { return std::to_string(t) + "T"; }
+
+/// p50 of (row, threads); 0 when that cell was not measured.
+double P50Us(const SweepRow& row, int threads) {
+  const auto it = row.by_threads.find(threads);
+  return it == row.by_threads.end() ? 0.0 : it->second.time.p50_us();
 }
 
-namespace {
+/// Every thread count this host offers: 1, 2, ..., nproc.
+std::vector<int> HostThreadCounts() {
+  std::vector<int> threads;
+  for (int t = 1; t <= std::max(1, omp_get_num_procs()); ++t) {
+    threads.push_back(t);
+  }
+  return threads;
+}
 
 FigureContext Prepare(const proto::NetParameter& param,
                       const std::string& dataset, index_t batch,
-                      int measure_iters) {
+                      int iterations, const parallel::ParallelConfig& base) {
   FigureContext ctx;
   ctx.dataset = dataset;
   ctx.batch = batch;
   SeedGlobalRng(1);
   data::ClearDatasetCache();
   Net<float> net(param, Phase::kTrain);
-  ctx.work = sim::ExtractWorkload(net, measure_iters, /*warmup=*/1);
+  ctx.sweep = MeasureThreadSweep(net, HostThreadCounts(), /*warmup=*/1,
+                                 iterations, base);
   return ctx;
+}
+
+void PrintHeader(const FigureContext& ctx, const std::string& title,
+                 const std::string& what) {
+  std::cout << "=== " << title << " ===\n"
+            << ctx.dataset << ", batch " << ctx.batch << ". " << what
+            << "\nMeasured on this host: p50 of "
+            << ctx.sweep.iteration.begin()->second.count()
+            << " timed iterations per thread count (the BENCH json carries "
+               "min/p50/max).\n\n";
 }
 
 }  // namespace
 
-FigureContext PrepareMnist(index_t batch, int measure_iters) {
+double FigureContext::Speedup(const std::string& layer, LayerPhase phase,
+                              int threads) const {
+  const SweepRow* row = sweep.Find(layer, phase);
+  if (row == nullptr) return 0.0;
+  const double t_us = P50Us(*row, threads);
+  return t_us > 0 ? P50Us(*row, 1) / t_us : 0.0;
+}
+
+FigureContext PrepareMnist(index_t batch, int iterations,
+                           const parallel::ParallelConfig& base) {
   models::ModelOptions opts;
   opts.batch_size = batch;
   opts.num_samples = std::max<index_t>(batch, 128);
   opts.with_accuracy = false;
-  return Prepare(models::LeNet(opts), "MNIST (LeNet)", batch, measure_iters);
+  return Prepare(models::LeNet(opts), "MNIST (LeNet)", batch, iterations,
+                 base);
 }
 
-FigureContext PrepareCifar(index_t batch, int measure_iters) {
+FigureContext PrepareCifar(index_t batch, int iterations) {
   models::ModelOptions opts;
   opts.batch_size = batch;
   opts.num_samples = std::max<index_t>(batch, 128);
   opts.with_accuracy = false;
   return Prepare(models::Cifar10Quick(opts), "CIFAR-10 (quick)", batch,
-                 measure_iters);
+                 iterations, {});
 }
 
 void PrintLayerTimeFigure(const FigureContext& ctx, const std::string& title) {
-  std::cout << "=== " << title << " ===\n"
-            << ctx.dataset << ", batch " << ctx.batch
-            << ". Absolute per-layer execution time (microseconds) and share "
-               "of one training iteration.\n"
-            << "1-thread column: measured serial time on this host; other "
-               "columns: calibrated 16-core Xeon E5-2667v2 model.\n\n";
-  for (const auto phase : {false, true}) {  // forward, backward
-    std::cout << (phase ? "backward pass:\n" : "forward pass:\n");
-    std::cout << std::left << std::setw(10) << "layer";
-    for (const int t : kThreadSweep) {
-      std::cout << std::right << std::setw(11) << (std::to_string(t) + "T");
+  PrintHeader(ctx, title,
+              "Absolute per-layer execution time (microseconds) and share "
+              "of one 1-thread training iteration.");
+  const std::vector<int>& threads = ctx.sweep.threads;
+  double serial_total = 0;
+  for (const SweepRow& row : ctx.sweep.rows) serial_total += P50Us(row, 1);
+  auto& report = BenchReport::Get();
+  for (const auto phase : {LayerPhase::kForward, LayerPhase::kBackward}) {
+    const std::string phase_name = profile::LayerPhaseName(phase);
+    const std::string section = phase_name + "_us";
+    std::cout << phase_name << " pass:\n"
+              << std::left << std::setw(10) << "layer";
+    for (const int t : threads) {
+      std::cout << std::right << std::setw(11) << ThreadCol(t);
     }
     std::cout << std::setw(9) << "share1T" << "\n";
-    const double serial_total = ctx.SerialTotalUs();
-    for (std::size_t li = 0; li < ctx.work.size(); ++li) {
-      const auto& lw = ctx.work[li];
-      const auto& pass = phase ? lw.backward : lw.forward;
-      if (pass.serial_us <= 0) continue;
-      std::cout << std::left << std::setw(10) << lw.name << std::right
+    for (const SweepRow& row : ctx.sweep.rows) {
+      if (row.phase != phase) continue;
+      std::cout << std::left << std::setw(10) << row.layer << std::right
                 << std::fixed << std::setprecision(0);
-      const sim::LayerWork* prev = li > 0 ? &ctx.work[li - 1] : nullptr;
-      const char* section = phase ? "backward_us" : "forward_us";
-      for (const int t : kThreadSweep) {
-        const double us = ctx.cpu.SimulatePass(lw, pass, prev, t, phase);
-        BenchReport::Get().Add(section, lw.name, std::to_string(t) + "T", us);
-        std::cout << std::setw(11) << us;
+      for (const int t : threads) {
+        report.AddSpread(section, row.layer + "@" + ThreadCol(t),
+                         row.by_threads.at(t).time);
+        std::cout << std::setw(11) << P50Us(row, t);
       }
-      const double share = 100.0 * pass.serial_us / serial_total;
-      BenchReport::Get().Add(section, lw.name, "share1T_pct", share);
+      const double share = 100.0 * P50Us(row, 1) / serial_total;
+      report.Add("share_pct", row.layer + "." + phase_name, "1T", share);
       std::cout << std::setprecision(1) << std::setw(8) << share << "%\n";
     }
   }
@@ -94,32 +122,29 @@ void PrintLayerTimeFigure(const FigureContext& ctx, const std::string& title) {
 
 void PrintScalabilityFigure(const FigureContext& ctx,
                             const std::string& title) {
-  std::cout << "=== " << title << " ===\n"
-            << ctx.dataset << ", batch " << ctx.batch
-            << ". Per-layer speedup over the serial execution "
-               "(model: 16-core dual-NUMA Xeon E5-2667v2).\n\n";
-  for (const auto phase : {false, true}) {
-    std::cout << (phase ? "backward pass:\n" : "forward pass:\n");
-    std::cout << std::left << std::setw(10) << "layer";
-    for (const int t : kThreadSweep) {
-      if (t == 1) continue;
-      std::cout << std::right << std::setw(9) << (std::to_string(t) + "T");
+  PrintHeader(ctx, title, "Per-layer speedup over one thread.");
+  const std::vector<int>& threads = ctx.sweep.threads;
+  auto& report = BenchReport::Get();
+  for (const auto phase : {LayerPhase::kForward, LayerPhase::kBackward}) {
+    const std::string phase_name = profile::LayerPhaseName(phase);
+    std::cout << phase_name << " pass:\n"
+              << std::left << std::setw(10) << "layer";
+    for (const int t : threads) {
+      if (t > 1) std::cout << std::right << std::setw(9) << ThreadCol(t);
     }
     std::cout << "\n";
-    for (std::size_t li = 0; li < ctx.work.size(); ++li) {
-      const auto& lw = ctx.work[li];
-      const auto& pass = phase ? lw.backward : lw.forward;
-      if (pass.serial_us <= 0 || lw.sequential) continue;
-      const sim::LayerWork* prev = li > 0 ? &ctx.work[li - 1] : nullptr;
-      std::cout << std::left << std::setw(10) << lw.name << std::right
+    for (const SweepRow& row : ctx.sweep.rows) {
+      if (row.phase != phase) continue;
+      std::cout << std::left << std::setw(10) << row.layer << std::right
                 << std::fixed << std::setprecision(2);
-      for (const int t : kThreadSweep) {
-        if (t == 1) continue;
-        const double st = ctx.cpu.SimulatePass(lw, pass, prev, t, phase);
-        BenchReport::Get().Add(
-            phase ? "backward_speedup" : "forward_speedup", lw.name,
-            std::to_string(t) + "T", pass.serial_us / st);
-        std::cout << std::setw(9) << pass.serial_us / st;
+      for (const int t : threads) {
+        // The json records the measured times; a speedup is a ratio of two
+        // of them, so it is printed but not gated a second time.
+        report.AddSpread(phase_name + "_us", row.layer + "@" + ThreadCol(t),
+                         row.by_threads.at(t).time);
+        if (t > 1) {
+          std::cout << std::setw(9) << ctx.Speedup(row.layer, phase, t);
+        }
       }
       std::cout << "\n";
     }
@@ -129,102 +154,37 @@ void PrintScalabilityFigure(const FigureContext& ctx,
 
 void PrintOverallFigure(const FigureContext& ctx, const std::string& title,
                         const PaperOverall& paper) {
-  std::cout << "=== " << title << " ===\n"
-            << ctx.dataset << ", batch " << ctx.batch
-            << ". Overall training-iteration speedup over serial CPU.\n\n";
-  const double serial = ctx.SerialTotalUs();
-
-  std::cout << std::left << std::setw(14) << "version" << std::right
-            << std::setw(12) << "time_us" << std::setw(10) << "speedup"
-            << std::setw(10) << "paper" << "\n";
-  std::cout << std::left << std::setw(14) << "serial" << std::right
-            << std::fixed << std::setprecision(0) << std::setw(12) << serial
-            << std::setprecision(2) << std::setw(10) << 1.0 << std::setw(10)
-            << 1.0 << "\n";
-  BenchReport::Get().Add("overall", "serial", "time_us", serial);
-  BenchReport::Get().Add("overall", "serial", "speedup", 1.0);
-  for (const int t : kThreadSweep) {
-    if (t == 1) continue;
-    const auto simres = ctx.cpu.SimulateNet(ctx.work, t);
-    double paper_val = 0;
-    if (t == 8) paper_val = paper.omp8;
-    if (t == 16) paper_val = paper.omp16;
-    const std::string version = "OpenMP-" + std::to_string(t);
-    BenchReport::Get().Add("overall", version, "time_us", simres.total_us);
-    BenchReport::Get().Add("overall", version, "speedup",
-                           serial / simres.total_us);
-    if (paper_val > 0) {
-      BenchReport::Get().Add("overall", version, "paper", paper_val);
-    }
-    std::cout << std::left << std::setw(14) << version << std::right
-              << std::setprecision(0) << std::setw(12) << simres.total_us
-              << std::setprecision(2) << std::setw(10)
-              << serial / simres.total_us;
-    if (paper_val > 0) {
-      std::cout << std::setw(10) << paper_val;
-    } else {
-      std::cout << std::setw(10) << "-";
-    }
-    std::cout << "\n";
-  }
-  for (const auto variant : {sim::GpuVariant::kPlain, sim::GpuVariant::kCudnn}) {
-    const auto simres = ctx.gpu.SimulateNet(ctx.work, variant);
-    const double paper_val = variant == sim::GpuVariant::kPlain
-                                 ? paper.plain_gpu
-                                 : paper.cudnn_gpu;
-    const std::string version = sim::GpuVariantName(variant);
-    BenchReport::Get().Add("overall", version, "time_us", simres.total_us);
-    BenchReport::Get().Add("overall", version, "speedup",
-                           serial / simres.total_us);
-    BenchReport::Get().Add("overall", version, "paper", paper_val);
-    std::cout << std::left << std::setw(14) << version
-              << std::right << std::setprecision(0) << std::setw(12)
-              << simres.total_us << std::setprecision(2) << std::setw(10)
-              << serial / simres.total_us << std::setw(10) << paper_val
-              << "\n";
-  }
-
-  // Right side of the paper's figure: per-layer GPU speedups.
-  std::cout << "\nper-layer GPU speedup over serial CPU:\n"
-            << std::left << std::setw(10) << "layer" << std::right
-            << std::setw(12) << "plain-fwd" << std::setw(12) << "plain-bwd"
-            << std::setw(12) << "cudnn-fwd" << std::setw(12) << "cudnn-bwd"
+  PrintHeader(ctx, title,
+              "Whole training iteration (forward + backward) per thread "
+              "count.");
+  const profile::PhaseStats& serial = ctx.sweep.iteration.at(1);
+  std::cout << std::left << std::setw(10) << "threads" << std::right
+            << std::setw(12) << "min_us" << std::setw(12) << "p50_us"
+            << std::setw(12) << "max_us" << std::setw(10) << "speedup"
             << "\n";
-  for (const auto& lw : ctx.work) {
-    if (lw.sequential || lw.forward.serial_us <= 0) continue;
-    std::cout << std::left << std::setw(10) << lw.name << std::right
-              << std::fixed << std::setprecision(2);
-    for (const auto variant :
-         {sim::GpuVariant::kPlain, sim::GpuVariant::kCudnn}) {
-      const double fwd = ctx.gpu.SimulatePass(lw, lw.forward, variant, false);
-      const double bwd = ctx.gpu.SimulatePass(lw, lw.backward, variant, true);
-      const char* tag = variant == sim::GpuVariant::kPlain ? "plain" : "cudnn";
-      BenchReport::Get().Add("gpu_per_layer", lw.name,
-                             std::string(tag) + "_fwd",
-                             lw.forward.serial_us / fwd);
-      BenchReport::Get().Add("gpu_per_layer", lw.name,
-                             std::string(tag) + "_bwd",
-                             bwd > 0 ? lw.backward.serial_us / bwd : 0.0);
-      std::cout << std::setw(12) << lw.forward.serial_us / fwd;
-      std::cout << std::setw(12)
-                << (bwd > 0 ? lw.backward.serial_us / bwd : 0.0);
-    }
-    std::cout << "\n";
+  auto& report = BenchReport::Get();
+  for (const auto& [t, stats] : ctx.sweep.iteration) {
+    report.AddSpread("iteration_us", ThreadCol(t), stats);
+    std::cout << std::left << std::setw(10) << ThreadCol(t) << std::right
+              << std::fixed << std::setprecision(0) << std::setw(12)
+              << stats.min_us() << std::setw(12) << stats.p50_us()
+              << std::setw(12) << stats.max_us() << std::setprecision(2)
+              << std::setw(10) << serial.p50_us() / stats.p50_us() << "\n";
   }
 
-  if (HostHasMultipleCores()) {
-    std::cout << "\n(host has " << omp_get_num_procs()
-              << " cores: run examples/mnist_lenet with varying thread "
-                 "counts for real wall-clock speedups)\n";
-  } else {
-    std::cout << "\n(host has 1 core: OpenMP timings are model-based; "
-                 "correctness of the parallel code is covered by the test "
-                 "suite on oversubscribed threads)\n";
+  std::cout << "\nreference speedups reported by the paper (16-core Xeon "
+               "E5-2667v2, Tesla K40; not measured here):\n";
+  for (const auto& [version, value] :
+       {std::pair<const char*, double>{"OpenMP-8", paper.omp8},
+        {"OpenMP-16", paper.omp16},
+        {"plain-GPU", paper.plain_gpu},
+        {"cuDNN-GPU", paper.cudnn_gpu}}) {
+    report.Add("paper_speedup", version, "value", value);
+    std::cout << "  " << std::left << std::setw(12) << version << std::right
+              << std::setprecision(2) << value << "x\n";
   }
   std::cout << "\n";
 }
-
-bool HostHasMultipleCores() { return omp_get_num_procs() > 1; }
 
 BenchReport& BenchReport::Get() {
   static BenchReport report;
@@ -253,6 +213,13 @@ void BenchReport::Add(const std::string& section, const std::string& key,
   row->values.emplace_back(column, value);
 }
 
+void BenchReport::AddSpread(const std::string& section, const std::string& key,
+                            const profile::PhaseStats& stats) {
+  Add(section, key, "min", stats.min_us());
+  Add(section, key, "p50", stats.p50_us());
+  Add(section, key, "max", stats.max_us());
+}
+
 bool BenchReport::Write(const std::string& bench_name) {
   const std::string path = "BENCH_" + bench_name + ".json";
   std::ofstream out(path, std::ios::trunc);
@@ -279,24 +246,6 @@ bool BenchReport::Write(const std::string& bench_name) {
   rows_.clear();
   std::cerr << "report written to " << path << "\n";
   return true;
-}
-
-double MeasureRealIterationUs(const proto::NetParameter& param, int threads,
-                              int iters) {
-  parallel::ParallelConfig cfg;
-  cfg.mode = threads > 1 ? parallel::ExecutionMode::kCoarseGrain
-                         : parallel::ExecutionMode::kSerial;
-  cfg.num_threads = threads;
-  parallel::Parallel::Scope scope(cfg);
-  SeedGlobalRng(1);
-  Net<float> net(param, Phase::kTrain);
-  net.ForwardBackward();  // warmup
-  profile::Timer timer;
-  for (int i = 0; i < iters; ++i) {
-    net.ClearParamDiffs();
-    net.ForwardBackward();
-  }
-  return timer.MicroSeconds() / iters;
 }
 
 }  // namespace cgdnn::bench

@@ -1,15 +1,15 @@
 // Shared harness for the figure-reproduction benches (DESIGN.md §3).
 //
-// Every figure binary follows the same recipe:
-//  1. build the real network and MEASURE per-layer serial forward/backward
-//     times on this host (plus analytic FLOP/byte counts from real shapes);
-//  2. feed that workload into the calibrated machine models (16-core
-//     dual-NUMA Xeon E5-2667v2 CPU; Tesla K40 plain/cuDNN GPU) to obtain
-//     the multi-thread and GPU series of the paper's figures;
-//  3. print the series next to the paper's reported values so the shape
-//     comparison (who wins, by what factor, where it saturates) is direct.
-// When the host itself has multiple cores, real OpenMP timings are also
-// measured and printed.
+// Every figure is a measurement on the host that runs it. The bench builds
+// the real network on synthetic data and runs MeasureThreadSweep
+// (src/cgdnn/net/thread_sweep.hpp) at 1..nproc threads, the same sweep
+// cgdnn_audit reports. Each per-layer and whole-iteration time carries
+// min / p50 / max over the timed iterations, and the BENCH_*.json rows
+// record all three. tools/compare_bench.py gates each p50 against a
+// baseline pooled over separate runs (tools/pool_bench_runs.py), within
+// the run-to-run spread that baseline recorded. The paper's values (16-core Xeon E5-2667v2, Tesla K40)
+// are printed and recorded beside the measurements as labelled reference
+// constants only.
 #pragma once
 
 #include <string>
@@ -17,49 +17,46 @@
 #include <vector>
 
 #include "cgdnn/net/models.hpp"
-#include "cgdnn/net/net.hpp"
-#include "cgdnn/sim/gpu_sim.hpp"
-#include "cgdnn/sim/multicore_sim.hpp"
-#include "cgdnn/sim/workload.hpp"
+#include "cgdnn/net/thread_sweep.hpp"
 
 namespace cgdnn::bench {
-
-inline const std::vector<int> kThreadSweep = {1, 2, 4, 8, 12, 16};
 
 struct FigureContext {
   std::string dataset;
   index_t batch = 0;
-  std::vector<sim::LayerWork> work;
-  sim::MulticoreSim cpu{sim::CpuMachine::XeonE5_2667v2()};
-  sim::GpuSim gpu{sim::GpuMachine::TeslaK40()};
+  ThreadSweep sweep;
 
-  double SerialTotalUs() const;
+  /// p50 speedup of (layer, phase) at `threads` over one thread; 0 when the
+  /// row is absent.
+  double Speedup(const std::string& layer, profile::LayerPhase phase,
+                 int threads) const;
 };
 
-/// Builds LeNet / CIFAR-quick on synthetic data and measures the workload.
-FigureContext PrepareMnist(index_t batch = 64, int measure_iters = 3);
-FigureContext PrepareCifar(index_t batch = 100, int measure_iters = 2);
+/// Builds LeNet / CIFAR-quick on synthetic data and sweeps it over every
+/// host thread count, `iterations` timed iterations each. `base` supplies
+/// the merge mode and coalescing.
+FigureContext PrepareMnist(index_t batch = 64, int iterations = 15,
+                           const parallel::ParallelConfig& base = {});
+FigureContext PrepareCifar(index_t batch = 100, int iterations = 3);
 
-/// Figure 4/7: per-layer absolute µs and share of the iteration, one block
-/// per thread count (horizontal bars of the paper).
+/// Figure 4/7: per-layer p50 µs at each thread count and each layer's share
+/// of the 1-thread iteration.
 void PrintLayerTimeFigure(const FigureContext& ctx, const std::string& title);
 
-/// Figure 5/8: per-layer speedup vs serial for each thread count.
+/// Figure 5/8: per-layer p50 speedup over one thread at each thread count.
+/// The json records the per-layer times the speedups are computed from.
 void PrintScalabilityFigure(const FigureContext& ctx, const std::string& title);
 
 struct PaperOverall {
-  // Paper-reported overall speedups for the shape comparison.
+  // The paper's overall speedups, printed as reference constants.
   double omp8 = 0, omp16 = 0, plain_gpu = 0, cudnn_gpu = 0;
 };
 
-/// Figure 6/9: overall OpenMP/GPU speedups plus per-layer GPU speedups.
+/// Figure 6/9: measured whole-iteration time and speedup per thread count,
+/// with the paper's OpenMP and GPU speedups beside them. The json records
+/// the iteration times.
 void PrintOverallFigure(const FigureContext& ctx, const std::string& title,
                         const PaperOverall& paper);
-
-/// True when this host can actually run a multi-core sweep (its value on
-/// the 1-core reference container is false; the harness then reports only
-/// model-based series, as documented in DESIGN.md §4).
-bool HostHasMultipleCores();
 
 /// Machine-readable mirror of the figure output. The Print* helpers record
 /// every value they print; a bench main then calls
@@ -72,10 +69,14 @@ class BenchReport {
   static BenchReport& Get();
 
   /// Records `section/key/column = value`, e.g.
-  /// Add("forward", "conv1", "8T", 512.0). Repeated calls with the same
-  /// coordinates overwrite.
+  /// Add("paper_speedup", "ip1_fwd", "8T", 4.58). Repeated calls with the
+  /// same coordinates overwrite.
   void Add(const std::string& section, const std::string& key,
            const std::string& column, double value);
+
+  /// Records a measured row: `min`, `p50` and `max` of `stats`.
+  void AddSpread(const std::string& section, const std::string& key,
+                 const profile::PhaseStats& stats);
 
   /// Writes BENCH_<bench_name>.json and clears the accumulated rows.
   /// Returns false (with a note on stderr) when the file cannot be opened.
@@ -89,10 +90,5 @@ class BenchReport {
   };
   std::vector<Row> rows_;
 };
-
-/// Measures REAL wall-clock per-iteration time of one training iteration at
-/// the given thread count (only meaningful on multi-core hosts).
-double MeasureRealIterationUs(const proto::NetParameter& param, int threads,
-                              int iters);
 
 }  // namespace cgdnn::bench

@@ -1,5 +1,5 @@
 // Figure 4 reproduction: MNIST per-layer absolute execution time and share
-// of one training iteration for 1/2/4/8/12/16 threads.
+// of one training iteration, measured at 1..nproc threads.
 //
 // Paper shape targets: convolution + pooling layers account for ~80% of the
 // iteration; conv2 dominates; the "center" layers (pool2, ip1 tail, relu,
@@ -10,15 +10,15 @@
 
 int main() {
   using namespace cgdnn;
-  auto ctx = bench::PrepareMnist();
+  const auto ctx = bench::PrepareMnist();
   bench::PrintLayerTimeFigure(ctx, "Figure 4: MNIST per-layer time");
 
-  // Headline check printed for EXPERIMENTS.md: conv+pool share.
+  // Headline check printed for EXPERIMENTS.md: conv+pool share at 1 thread.
   double conv_pool = 0, total = 0;
-  for (const auto& w : ctx.work) {
-    const double us = w.forward.serial_us + w.backward.serial_us;
+  for (const SweepRow& row : ctx.sweep.rows) {
+    const double us = row.by_threads.at(1).time.p50_us();
     total += us;
-    if (w.type == "Convolution" || w.type == "Pooling") conv_pool += us;
+    if (row.type == "Convolution" || row.type == "Pooling") conv_pool += us;
   }
   std::cout << "conv+pool share of iteration: " << 100.0 * conv_pool / total
             << "% (paper: ~80%)\n";

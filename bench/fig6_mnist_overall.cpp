@@ -1,5 +1,5 @@
-// Figure 6 reproduction: MNIST overall speedups — OpenMP (2..16 threads)
-// vs plain-GPU and cuDNN-GPU — plus per-layer GPU speedups.
+// Figure 6 reproduction: MNIST overall speedup of one training iteration,
+// measured at 1..nproc threads, beside the paper's OpenMP and GPU values.
 //
 // Paper shape targets: OpenMP ~6x at 8 threads, ~8x at 16; plain-GPU ~2x
 // (its generic convolution kernels are the bottleneck: 0.43x-2.9x);
@@ -9,7 +9,7 @@
 
 int main() {
   using namespace cgdnn;
-  auto ctx = bench::PrepareMnist();
+  const auto ctx = bench::PrepareMnist();
   bench::PaperOverall paper;
   paper.omp8 = 6.0;
   paper.omp16 = 8.0;

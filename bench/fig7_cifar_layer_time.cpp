@@ -1,5 +1,5 @@
 // Figure 7 reproduction: CIFAR-10 per-layer absolute execution time and
-// relative weight per thread count.
+// relative weight, measured at 1..nproc threads.
 //
 // Paper shape targets: conv + pool + LRN layers account for ~85% of the
 // iteration in all thread configurations; the deep tail (pool3, ip1, loss)
@@ -10,14 +10,15 @@
 
 int main() {
   using namespace cgdnn;
-  auto ctx = bench::PrepareCifar();
+  const auto ctx = bench::PrepareCifar();
   bench::PrintLayerTimeFigure(ctx, "Figure 7: CIFAR-10 per-layer time");
 
   double dominant = 0, total = 0;
-  for (const auto& w : ctx.work) {
-    const double us = w.forward.serial_us + w.backward.serial_us;
+  for (const SweepRow& row : ctx.sweep.rows) {
+    const double us = row.by_threads.at(1).time.p50_us();
     total += us;
-    if (w.type == "Convolution" || w.type == "Pooling" || w.type == "LRN") {
+    if (row.type == "Convolution" || row.type == "Pooling" ||
+        row.type == "LRN") {
       dominant += us;
     }
   }

@@ -1,5 +1,6 @@
-// Figure 9 reproduction: CIFAR-10 overall speedups — OpenMP vs plain-GPU vs
-// cuDNN-GPU — plus per-layer GPU speedups.
+// Figure 9 reproduction: CIFAR-10 overall speedup of one training
+// iteration, measured at 1..nproc threads, beside the paper's OpenMP and
+// GPU values.
 //
 // Paper shape targets: OpenMP ~6x at 8 threads, 8.83x at 16; plain-GPU ~6x
 // (conv kernels 1.8x-6x, everything else >10x with pooling ~110x and LRN
@@ -8,7 +9,7 @@
 
 int main() {
   using namespace cgdnn;
-  auto ctx = bench::PrepareCifar();
+  const auto ctx = bench::PrepareCifar();
   bench::PaperOverall paper;
   paper.omp8 = 6.0;
   paper.omp16 = 8.83;

@@ -2,8 +2,8 @@
 // same name. Caffe uses it to conceal CPU<->GPU transfers; since this
 // reproduction has no physical GPU (see DESIGN.md §4) the "device" side is a
 // second host buffer. Keeping the two-headed state machine intact preserves
-// Caffe's API and lets the simulator account for host<->device traffic: every
-// synchronizing transition is counted in TransferStats.
+// Caffe's API and accounts for host<->device traffic: every synchronizing
+// transition is counted in TransferStats.
 #pragma once
 
 #include <cstddef>

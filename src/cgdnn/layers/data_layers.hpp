@@ -4,7 +4,7 @@
 // cgdnn/data). It executes SEQUENTIALLY by design — the paper keeps Caffe's
 // data layers serial and identifies the resulting first-conv-layer locality
 // penalty as one of the coarse-grain limiting factors (§4.3 "Locality
-// between layers"); the multicore simulator models exactly this.
+// between layers"), visible in the measured conv1 rows of Figs 5/8.
 //
 // DummyDataLayer produces filler-defined constant blobs (tests/benches).
 #pragma once

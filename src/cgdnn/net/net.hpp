@@ -88,6 +88,10 @@ class Net {
   const std::vector<bool>& blob_need_backward() const {
     return blob_need_backward_;
   }
+  /// Per layer, per bottom: whether backward computes that bottom's diff.
+  const std::vector<std::vector<bool>>& bottom_need_backward() const {
+    return bottom_need_backward_;
+  }
 
   /// Marks layer `li` as fused into its producer: Forward() skips it (its
   /// work happens in the producer's FusedEpilogue); Backward still runs it.

@@ -63,8 +63,8 @@ class CoalescedRange {
 
 /// The iteration sub-range OpenMP static scheduling (no chunk argument)
 /// assigns to thread `tid` of `nthreads`: contiguous blocks, the first
-/// `total % nthreads` threads receiving one extra iteration. Exposed so the
-/// multicore simulator and tests can reason about the exact distribution.
+/// `total % nthreads` threads receiving one extra iteration. Exposed so
+/// benches and tests can reason about the exact distribution.
 struct IterRange {
   index_t begin = 0;
   index_t end = 0;

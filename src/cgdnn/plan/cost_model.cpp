@@ -30,21 +30,26 @@ double ConvForwardFlops(const blas::ConvGeom& g, index_t num_output) {
          static_cast<double>(g.out_spatial());
 }
 
-double AnalyticConvForwardUs(const blas::ConvGeom& g, index_t num_output,
-                             bool direct, int dtype_bytes,
-                             const perfctr::MachinePeak& peak) {
-  const double col_elems = static_cast<double>(g.kernel_dim()) *
-                           static_cast<double>(g.out_spatial());
+double ConvForwardBytes(const blas::ConvGeom& g, index_t num_output,
+                        int dtype_bytes, index_t samples) {
   const double weight_bytes = static_cast<double>(num_output) *
                               static_cast<double>(g.kernel_dim()) *
                               dtype_bytes;
   const double image_bytes = static_cast<double>(g.bottom_dim()) * dtype_bytes;
   const double top_bytes = static_cast<double>(num_output) *
                            static_cast<double>(g.out_spatial()) * dtype_bytes;
+  return weight_bytes +
+         static_cast<double>(samples) * (image_bytes + top_bytes);
+}
 
+double AnalyticConvForwardUs(const blas::ConvGeom& g, index_t num_output,
+                             bool direct, int dtype_bytes,
+                             const perfctr::MachinePeak& peak) {
+  const double col_elems = static_cast<double>(g.kernel_dim()) *
+                           static_cast<double>(g.out_spatial());
   double flops = ConvForwardFlops(g, num_output);
   // Both paths read the weights and image and write the top once.
-  double bytes = weight_bytes + image_bytes + top_bytes;
+  double bytes = ConvForwardBytes(g, num_output, dtype_bytes);
   if (direct) {
     // The implicit gather touches each column element once (from the image,
     // usually cache-resident) but pays index arithmetic per element.

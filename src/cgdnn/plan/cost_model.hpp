@@ -1,4 +1,6 @@
 // Analytic + measured cost model for per-shape conv kernel selection.
+// ConvForwardFlops / ConvForwardBytes are also the conv entries of the
+// per-layer cost descriptor (layer_cost.hpp).
 //
 // The planner must decide, per convolution shape, whether the materialized
 // im2col+GEMM path or the direct (implicit-im2col) path is faster. Both are
@@ -32,6 +34,11 @@ struct ConvCost {
 
 /// FLOPs of one sample's forward conv (multiply+add counted separately).
 double ConvForwardFlops(const blas::ConvGeom& g, index_t num_output);
+
+/// Bytes a forward conv over `samples` samples must move: the weights once,
+/// plus each sample's image read and top write.
+double ConvForwardBytes(const blas::ConvGeom& g, index_t num_output,
+                        int dtype_bytes, index_t samples = 1);
 
 /// Analytic per-sample forward cost in microseconds for one strategy.
 /// `dtype_bytes` is sizeof the element type (4 or 8).

@@ -17,10 +17,12 @@
 #include "cgdnn/core/rng.hpp"
 #include "cgdnn/data/dataset.hpp"
 #include "cgdnn/data/io.hpp"
+#include "cgdnn/layers/conv_layer.hpp"
 #include "cgdnn/net/models.hpp"
 #include "cgdnn/net/net.hpp"
 #include "cgdnn/plan/arena_plan.hpp"
 #include "cgdnn/plan/cost_model.hpp"
+#include "cgdnn/plan/layer_cost.hpp"
 #include "cgdnn/plan/json_lite.hpp"
 #include "cgdnn/plan/plan_cache.hpp"
 #include "cgdnn/plan/planner.hpp"
@@ -203,6 +205,81 @@ TEST(CostModel, MeasuredRefinementDrivesTheDecision) {
   ASSERT_GE(cost.measured_im2col_us, 0);
   ASSERT_GE(cost.measured_direct_us, 0);
   EXPECT_EQ(direct, cost.measured_direct_us < cost.measured_im2col_us);
+}
+
+// ---- per-layer cost descriptor ---------------------------------------------
+
+std::vector<plan::LayerCost> LeNetCosts(index_t batch) {
+  models::ModelOptions o;
+  o.batch_size = batch;
+  o.num_samples = 32;
+  o.with_accuracy = false;
+  SeedGlobalRng(1);
+  data::ClearDatasetCache();
+  const Net<float> net(models::LeNet(o), Phase::kTrain);
+  return plan::NetLayerCosts(net);
+}
+
+const plan::LayerCost& CostOf(const std::vector<plan::LayerCost>& costs,
+                              const std::string& name) {
+  for (const auto& c : costs) {
+    if (c.name == name) return c;
+  }
+  ADD_FAILURE() << "no cost descriptor for " << name;
+  return costs.front();
+}
+
+TEST(CostModel, ConvDescriptorIsPlannerFlopsTimesBatch) {
+  constexpr index_t kBatch = 8;
+  models::ModelOptions o;
+  o.batch_size = kBatch;
+  o.num_samples = 32;
+  o.with_accuracy = false;
+  SeedGlobalRng(1);
+  data::ClearDatasetCache();
+  const Net<float> net(models::LeNet(o), Phase::kTrain);
+  const auto costs = plan::NetLayerCosts(net);
+  ASSERT_EQ(costs.size(), net.layers().size());
+  int convs = 0;
+  for (std::size_t li = 0; li < costs.size(); ++li) {
+    const auto* conv =
+        dynamic_cast<const ConvolutionLayer<float>*>(net.layers()[li].get());
+    if (conv == nullptr) continue;
+    ++convs;
+    EXPECT_DOUBLE_EQ(
+        costs[li].forward.flops,
+        plan::ConvForwardFlops(conv->geom(), conv->num_output()) * kBatch)
+        << costs[li].name;
+    EXPECT_DOUBLE_EQ(costs[li].forward.bytes,
+                     plan::ConvForwardBytes(conv->geom(), conv->num_output(),
+                                            sizeof(float), kBatch))
+        << costs[li].name;
+  }
+  EXPECT_EQ(convs, 2);
+}
+
+TEST(CostModel, BackwardCountsOnlyTheGradientsTheNetNeeds) {
+  const auto costs = LeNetCosts(8);
+  // conv1 reads the data layer, which needs no gradient: its backward is
+  // the weight gradient alone, one forward-sized product.
+  const auto& conv1 = CostOf(costs, "conv1");
+  EXPECT_DOUBLE_EQ(conv1.backward.flops, conv1.forward.flops);
+  // conv2 also propagates to pool1: weight + bottom gradient.
+  const auto& conv2 = CostOf(costs, "conv2");
+  EXPECT_DOUBLE_EQ(conv2.backward.flops, 2 * conv2.forward.flops);
+}
+
+TEST(CostModel, InnerProductWeightBytesDoNotScaleWithBatch) {
+  const auto small = LeNetCosts(8);
+  const auto big = LeNetCosts(16);
+  // bytes(batch) = weights + batch * per-sample traffic, so doubling the
+  // batch doubles everything except the weights (read once per GEMM).
+  const double weight_bytes = (800.0 * 500 + 500) * sizeof(float);
+  const double delta = 2 * CostOf(small, "ip1").forward.bytes -
+                       CostOf(big, "ip1").forward.bytes;
+  EXPECT_DOUBLE_EQ(delta, weight_bytes);
+  EXPECT_DOUBLE_EQ(CostOf(big, "ip1").forward.flops,
+                   2 * CostOf(small, "ip1").forward.flops);
 }
 
 // ---- interval-coloring arena allocator -------------------------------------

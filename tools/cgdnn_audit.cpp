@@ -48,16 +48,15 @@
 
 #include "cgdnn/core/buildinfo.hpp"
 #include "cgdnn/core/rng.hpp"
-#include "cgdnn/net/net.hpp"
 #include "cgdnn/data/dataset.hpp"
+#include "cgdnn/net/net.hpp"
+#include "cgdnn/net/thread_sweep.hpp"
 #include "cgdnn/perfctr/perfctr.hpp"
 #include "cgdnn/perfctr/roofline.hpp"
+#include "cgdnn/plan/layer_cost.hpp"
 #include "cgdnn/plan/planner.hpp"
-#include "cgdnn/profile/profiler.hpp"
 #include "cgdnn/serve/loadgen.hpp"
 #include "cgdnn/serve/server.hpp"
-#include "cgdnn/sim/workload.hpp"
-#include "cgdnn/trace/metrics.hpp"
 #include "flags.hpp"
 
 namespace {
@@ -92,65 +91,6 @@ std::vector<int> ParseThreadList(const std::string& spec) {
   std::sort(threads.begin(), threads.end());
   threads.erase(std::unique(threads.begin(), threads.end()), threads.end());
   return threads;
-}
-
-/// Everything measured for one (layer, phase) at one thread count.
-struct CellMeasurement {
-  double time_us = 0;
-  std::optional<double> imbalance;
-  std::optional<int> straggler_tid;
-  std::optional<double> ipc;
-  std::optional<double> llc_miss_rate;
-};
-
-/// One (layer, phase) row across the whole sweep.
-struct AuditRow {
-  std::string layer;
-  std::string type;
-  const char* phase;  // "forward" / "backward"
-  double flops = 0;
-  double bytes = 0;
-  std::map<int, CellMeasurement> by_threads;
-};
-
-/// Sum of two registry counters as an IPC-style ratio, preferring the
-/// all-thread region counters and falling back to the driver-thread layer
-/// counters (full coverage whenever the layer ran serially).
-std::optional<double> CounterRatio(const trace::MetricsRegistry& registry,
-                                   const std::string& region_prefix,
-                                   const std::string& layer_prefix,
-                                   const char* num_event,
-                                   const char* den_event) {
-  for (const std::string& prefix : {region_prefix, layer_prefix}) {
-    const auto* num = registry.FindCounter(prefix + "." + num_event);
-    const auto* den = registry.FindCounter(prefix + "." + den_event);
-    if (num != nullptr && den != nullptr && den->value() > 0) {
-      return static_cast<double>(num->value()) /
-             static_cast<double>(den->value());
-    }
-  }
-  return std::nullopt;
-}
-
-CellMeasurement HarvestCell(const trace::MetricsRegistry& registry,
-                            const std::string& layer, const char* phase,
-                            double time_us) {
-  CellMeasurement cell;
-  cell.time_us = time_us;
-  const std::string key = layer + "." + phase;
-  if (const auto* g = registry.FindGauge("region." + key + ".imbalance_last");
-      g != nullptr) {
-    cell.imbalance = g->value();
-  }
-  if (const auto* g = registry.FindGauge("region." + key + ".straggler_tid");
-      g != nullptr) {
-    cell.straggler_tid = static_cast<int>(g->value());
-  }
-  cell.ipc = CounterRatio(registry, "region." + key, "layer." + key,
-                          "instructions", "cycles");
-  cell.llc_miss_rate = CounterRatio(registry, "region." + key, "layer." + key,
-                                    "llc_misses", "llc_refs");
-  return cell;
 }
 
 /// JSON helpers: the report is hand-written like every other exporter in
@@ -218,12 +158,11 @@ int main(int argc, char** argv) {
     std::cout << "} (" << iterations << " iterations, merge=" << merge_name
               << ")\n";
 
-    // Analytic per-layer FLOP/byte counts from the real blob shapes (also
-    // runs a few serial iterations, warming every lazily-allocated buffer).
-    const std::vector<sim::LayerWork> workload = sim::ExtractWorkload(
-        net, /*measure_iters=*/1, /*warmup=*/static_cast<int>(warmup));
-    std::map<std::string, const sim::LayerWork*> work_by_name;
-    for (const sim::LayerWork& w : workload) work_by_name[w.name] = &w;
+    // Per-layer FLOP/byte counts from the real blob shapes.
+    std::map<std::string, plan::LayerCost> cost_by_name;
+    for (plan::LayerCost& c : plan::NetLayerCosts(net)) {
+      cost_by_name[c.name] = std::move(c);
+    }
 
     // Measured machine ceilings at every swept concurrency: the roofline
     // each layer is judged against. (GEMM probe ~dim^3 FLOPs per thread,
@@ -241,64 +180,19 @@ int main(int argc, char** argv) {
     }
 
     // --- thread sweep ------------------------------------------------------
-    std::vector<AuditRow> rows;
+    parallel::ParallelConfig sweep_cfg;
+    sweep_cfg.merge = parallel::GradientMergeFromName(merge_name);
+    sweep_cfg.coalesce = coalesce;
+    const ThreadSweep sweep =
+        MeasureThreadSweep(net, threads, static_cast<int>(warmup),
+                           static_cast<int>(iterations), sweep_cfg);
     std::map<int, double> overall_us;
-    auto& registry = trace::MetricsRegistry::Default();
     for (const int t : threads) {
-      parallel::ParallelConfig cfg;
-      cfg.mode = t > 1 ? parallel::ExecutionMode::kCoarseGrain
-                       : parallel::ExecutionMode::kSerial;
-      cfg.num_threads = t;
-      cfg.merge = parallel::GradientMergeFromName(merge_name);
-      cfg.coalesce = coalesce;
-      parallel::Parallel::Scope scope(cfg);
-
-      for (index_t i = 0; i < warmup; ++i) {
-        net.ClearParamDiffs();
-        net.ForwardBackward();
-      }
-      registry.Reset();
-      trace::SetMetrics(true);
-      profile::Profiler profiler;
-      net.set_profiler(&profiler);
-      for (index_t i = 0; i < iterations; ++i) {
-        net.ClearParamDiffs();
-        net.ForwardBackward();
-      }
-      net.set_profiler(nullptr);
-      trace::SetMetrics(false);
-
       double total_us = 0;
-      for (const std::string& layer : profiler.layer_order()) {
-        for (const auto phase :
-             {profile::LayerPhase::kForward, profile::LayerPhase::kBackward}) {
-          if (!profiler.has(layer, phase)) continue;
-          const char* phase_name = profile::LayerPhaseName(phase);
-          const double mean_us = profiler.stats(layer, phase).mean_us();
-          total_us += mean_us;
-          auto row_it = std::find_if(
-              rows.begin(), rows.end(), [&](const AuditRow& r) {
-                return r.layer == layer && std::string(r.phase) == phase_name;
-              });
-          if (row_it == rows.end()) {
-            AuditRow row;
-            row.layer = layer;
-            row.phase = phase_name;
-            if (const auto wit = work_by_name.find(layer);
-                wit != work_by_name.end()) {
-              row.type = wit->second->type;
-              const sim::PassWork& pass =
-                  phase == profile::LayerPhase::kForward
-                      ? wit->second->forward
-                      : wit->second->backward;
-              row.flops = pass.flops;
-              row.bytes = pass.bytes;
-            }
-            rows.push_back(std::move(row));
-            row_it = std::prev(rows.end());
-          }
-          row_it->by_threads[t] =
-              HarvestCell(registry, layer, phase_name, mean_us);
+      for (const SweepRow& row : sweep.rows) {
+        if (const auto it = row.by_threads.find(t);
+            it != row.by_threads.end()) {
+          total_us += it->second.time.mean_us();
         }
       }
       overall_us[t] = total_us;
@@ -306,7 +200,6 @@ int main(int argc, char** argv) {
                 << std::fixed << std::setprecision(0) << total_us
                 << " us/iteration\n" << std::defaultfloat;
     }
-    trace::SetMetrics(false);
 
     // --- planned A/B pass --------------------------------------------------
     // Wall-clock on identical fresh nets, plain vs. under the execution
@@ -493,40 +386,48 @@ int main(int argc, char** argv) {
     out << "}},\n";
     out << "  \"layers\": [";
     bool first_row = true;
-    for (const AuditRow& row : rows) {
+    for (const SweepRow& row : sweep.rows) {
       const auto base_it = row.by_threads.find(base_t);
       if (base_it == row.by_threads.end()) continue;
-      const double base_us = base_it->second.time_us;
-      const auto cell = [&](int t) -> const CellMeasurement* {
+      const double base_us = base_it->second.time.mean_us();
+      plan::PassCost cost;
+      if (const auto it = cost_by_name.find(row.layer);
+          it != cost_by_name.end()) {
+        cost = row.phase == profile::LayerPhase::kForward
+                   ? it->second.forward
+                   : it->second.backward;
+      }
+      const auto cell = [&](int t) -> const SweepCell* {
         const auto it = row.by_threads.find(t);
         return it == row.by_threads.end() ? nullptr : &it->second;
       };
       if (!first_row) out << ",";
       first_row = false;
       out << "\n    {\"name\": \"" << row.layer << "\", \"phase\": \""
-          << row.phase << "\", \"type\": \"" << row.type << "\",\n";
+          << profile::LayerPhaseName(row.phase) << "\", \"type\": \""
+          << row.type << "\",\n";
       out << "     \"flops\": ";
-      WriteJsonNumber(out, row.flops);
+      WriteJsonNumber(out, cost.flops);
       out << ", \"bytes\": ";
-      WriteJsonNumber(out, row.bytes);
+      WriteJsonNumber(out, cost.bytes);
       out << ", \"ai\": ";
-      WriteJsonNumber(out, row.bytes > 0 ? row.flops / row.bytes : 0.0);
+      WriteJsonNumber(out, cost.bytes > 0 ? cost.flops / cost.bytes : 0.0);
       out << ",\n     \"time_us\": ";
       WriteThreadMap(out, threads, [&](int t) -> std::optional<double> {
         const auto* c = cell(t);
-        return c ? std::optional<double>(c->time_us) : std::nullopt;
+        return c ? std::optional<double>(c->time.mean_us()) : std::nullopt;
       });
       out << ",\n     \"speedup\": ";
       WriteThreadMap(out, threads, [&](int t) -> std::optional<double> {
         const auto* c = cell(t);
-        return c ? std::optional<double>(speedup_of(base_us, c->time_us))
+        return c ? std::optional<double>(speedup_of(base_us, c->time.mean_us()))
                  : std::nullopt;
       });
       out << ",\n     \"efficiency\": ";
       WriteThreadMap(out, threads, [&](int t) -> std::optional<double> {
         const auto* c = cell(t);
         return c ? std::optional<double>(
-                       efficiency_of(speedup_of(base_us, c->time_us), t))
+                       efficiency_of(speedup_of(base_us, c->time.mean_us()), t))
                  : std::nullopt;
       });
       out << ",\n     \"imbalance\": ";
@@ -556,17 +457,17 @@ int main(int argc, char** argv) {
       out << ",\n     \"achieved_gflops\": ";
       WriteThreadMap(out, threads, [&](int t) -> std::optional<double> {
         const auto* c = cell(t);
-        if (c == nullptr || row.flops <= 0 || c->time_us <= 0) {
+        if (c == nullptr || cost.flops <= 0 || c->time.mean_us() <= 0) {
           return std::nullopt;
         }
-        return row.flops / (c->time_us * 1e3);
+        return cost.flops / (c->time.mean_us() * 1e3);
       });
       out << ",\n     \"attainable_gflops\": ";
       WriteThreadMap(out, threads, [&](int t) -> std::optional<double> {
         const auto* c = cell(t);
         if (c == nullptr) return std::nullopt;
-        const auto p = perfctr::PlaceOnRoofline(row.flops, row.bytes,
-                                                c->time_us, peaks[t]);
+        const auto p = perfctr::PlaceOnRoofline(cost.flops, cost.bytes,
+                                                c->time.mean_us(), peaks[t]);
         return p.valid ? std::optional<double>(p.attainable_gflops)
                        : std::nullopt;
       });
@@ -574,8 +475,8 @@ int main(int argc, char** argv) {
       WriteThreadMap(out, threads, [&](int t) -> std::optional<double> {
         const auto* c = cell(t);
         if (c == nullptr) return std::nullopt;
-        const auto p = perfctr::PlaceOnRoofline(row.flops, row.bytes,
-                                                c->time_us, peaks[t]);
+        const auto p = perfctr::PlaceOnRoofline(cost.flops, cost.bytes,
+                                                c->time.mean_us(), peaks[t]);
         return p.valid ? std::optional<double>(p.roof_efficiency)
                        : std::nullopt;
       });
@@ -585,8 +486,8 @@ int main(int argc, char** argv) {
         for (const int t : threads) {
           const auto* c = cell(t);
           if (c == nullptr) continue;
-          const auto p = perfctr::PlaceOnRoofline(row.flops, row.bytes,
-                                                  c->time_us, peaks[t]);
+          const auto p = perfctr::PlaceOnRoofline(cost.flops, cost.bytes,
+                                                  c->time.mean_us(), peaks[t]);
           if (!first) out << ", ";
           first = false;
           out << "\"" << t << "\": \""
@@ -678,7 +579,7 @@ int main(int argc, char** argv) {
     out << "\n}\n";
     out.close();
     CGDNN_CHECK(out.good()) << "error writing " << out_path;
-    std::cerr << "audit written to " << out_path << " (" << rows.size()
+    std::cerr << "audit written to " << out_path << " (" << sweep.rows.size()
               << " layer/phase rows, counters "
               << (counters ? "on" : "off") << ")\n";
 

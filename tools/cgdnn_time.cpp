@@ -20,8 +20,8 @@
 
 #include "cgdnn/core/rng.hpp"
 #include "cgdnn/net/net.hpp"
+#include "cgdnn/plan/layer_cost.hpp"
 #include "cgdnn/profile/profiler.hpp"
-#include "cgdnn/sim/workload.hpp"
 #include "flags.hpp"
 
 namespace {
@@ -52,13 +52,6 @@ int main(int argc, char** argv) {
     // Arm tracing/metrics only for the measured iterations so the trace
     // starts at the first profiled pass.
     tools::Observability obs(flags);
-    if (flags.Has("metrics-out")) {
-      // Analytic per-layer work (FLOPs, bytes, achieved GFLOP/s from serial
-      // reference timings) published alongside the runtime histograms.
-      sim::RecordWorkloadMetrics(sim::ExtractWorkload(net),
-                                 trace::MetricsRegistry::Default());
-    }
-
     profile::Profiler profiler;
     net.set_profiler(&profiler);
     for (index_t i = 0; i < iterations; ++i) {
@@ -66,6 +59,26 @@ int main(int argc, char** argv) {
       net.ForwardBackward();
     }
     net.set_profiler(nullptr);
+    if (flags.Has("metrics-out")) {
+      // Per-layer work (FLOPs and bytes per pass) next to the runtime
+      // histograms, with the GFLOP/s the fastest timed pass achieved.
+      auto& registry = trace::MetricsRegistry::Default();
+      for (const plan::LayerCost& c : plan::NetLayerCosts(net)) {
+        for (const auto phase : {profile::LayerPhase::kForward,
+                                 profile::LayerPhase::kBackward}) {
+          const bool fwd = phase == profile::LayerPhase::kForward;
+          const plan::PassCost& pass = fwd ? c.forward : c.backward;
+          const std::string prefix =
+              "layer." + c.name + "." + profile::LayerPhaseName(phase);
+          registry.GetGauge(prefix + ".flops").Set(pass.flops);
+          registry.GetGauge(prefix + ".bytes").Set(pass.bytes);
+          const double us = profiler.stats(c.name, phase).min_us();
+          if (pass.flops > 0 && us > 0) {
+            registry.GetGauge(prefix + ".gflops").Set(pass.flops / (us * 1e3));
+          }
+        }
+      }
+    }
     obs.Finish();
     std::cout << (flags.GetBool("csv") ? profiler.Csv() : profiler.Table());
     tools::FinishBlackbox(flags);

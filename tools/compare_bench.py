@@ -33,6 +33,20 @@ is a regression; the script prints every comparison, summarizes regressions,
 and exits 1 if any were found. Entries present in only one file are listed
 but do not fail the comparison (shape sweeps may grow over time).
 
+Measured BENCH rows record "min", "p50" and "max" over their repetitions;
+the p50 is the gated value, while min and max describe one run's spread and
+are printed, not gated (one fast or slow repetition is noise, not a
+regression). A baseline pooled over separate runs (tools/pool_bench_runs.py)
+records each gated value's run-to-run noise as "run_spread": {col: s},
+three robust standard deviations of the per-run values relative to their
+median. Against such a baseline the tolerance widens to s whenever s
+exceeds --threshold, applied as a ratio in both directions: a
+lower-is-better value fails above baseline * (1 + s), a higher-is-better
+one below baseline / (1 + s), so a halved speedup or a doubled time fails
+whenever s < 100%. A wobble inside the drift the baseline runs themselves
+showed passes; a shift beyond it still fails. On a noisy host, pool the
+current side over a few runs the same way: its medians are then compared.
+
 When both reports' meta headers carry "peak_rss_kb" (every tool stamps it
 via buildinfo::WriteMetaJson), the peak-RSS delta is compared as a
 lower-is-better coordinate like any other — a memory regression beyond the
@@ -88,9 +102,12 @@ def format_meta(meta):
 
 
 def load_rows(path):
+    """Returns (name, {(section, key, column): value}, meta, spreads), where
+    spreads maps a coordinate to a pooled baseline's recorded run spread."""
     with open(path) as f:
         data = json.load(f)
     meta = data.get("meta")
+    spreads = {}
     if "audit" in data and "layers" in data:
         name, rows = flatten_audit(data)
     else:
@@ -98,13 +115,15 @@ def load_rows(path):
         for row in data.get("rows", []):
             for col, val in row.get("values", {}).items():
                 rows[(row["section"], row["key"], col)] = float(val)
+            for col, spread in row.get("run_spread", {}).items():
+                spreads[(row["section"], row["key"], col)] = float(spread)
     # Peak RSS from the meta header, when the producing tool stamped one:
     # compared lower-is-better like any other _kb coordinate, so memory
     # regressions gate the run exactly as time regressions do.
     if isinstance(meta, dict) and isinstance(meta.get("peak_rss_kb"),
                                              (int, float)):
         rows[("meta", "peak_rss_kb", "process")] = float(meta["peak_rss_kb"])
-    return name, rows, meta
+    return name, rows, meta, spreads
 
 
 def direction(section, key, column):
@@ -112,6 +131,9 @@ def direction(section, key, column):
     # (e.g. "conv1.forward"/"efficiency"/"2t"); bench coordinates in the
     # section or column — match against all three.
     parts = (section.lower(), key.lower(), column.lower())
+    # A measured row's min/max only describe one run's spread (module doc).
+    if parts[2] in ("min", "max"):
+        return "info"
     # "qps" before the lower-is-better pass: "sustainable_qps" would
     # otherwise substring-match the "us" marker.
     for marker in ("gflops", "speedup", "efficiency", "ipc", "qps"):
@@ -130,8 +152,8 @@ def compare_pair(baseline, current, threshold, label=None, out=sys.stdout):
     Returns (common, regressions, record) where record is the pair's
     machine-readable diff for --json output.
     """
-    base_name, base, base_meta = load_rows(baseline)
-    cur_name, cur, cur_meta = load_rows(current)
+    base_name, base, base_meta, spreads = load_rows(baseline)
+    cur_name, cur, cur_meta, _ = load_rows(current)
     if label:
         print(f"=== {label} ===", file=out)
     if base_name != cur_name:
@@ -151,8 +173,11 @@ def compare_pair(baseline, current, threshold, label=None, out=sys.stdout):
         b, c = base[coord], cur[coord]
         delta = (c - b) / abs(b) if b != 0 else (0.0 if c == 0 else float("inf"))
         dirn = direction(section, key, col)
-        bad = (dirn == "higher" and delta < -threshold) or \
-              (dirn == "lower" and delta > threshold)
+        spread = spreads.get(coord, 0.0)
+        if dirn == "higher":
+            bad = delta < -max(threshold, spread / (1 + spread))
+        else:
+            bad = dirn == "lower" and delta > max(threshold, spread)
         flag = " REGRESSION" if bad else ""
         print(f"{section + '/' + key + '/' + col:58s} {b:12.4g} {c:12.4g} "
               f"{delta:+7.1%}{flag}", file=out)
@@ -259,13 +284,15 @@ def main():
 
     if regressions:
         print(f"FAIL: {len(regressions)} regression(s) beyond "
-              f"{args.threshold:.0%}:", file=out)
+              f"{args.threshold:.0%} (or a value's recorded run spread):",
+              file=out)
         for (section, key, col), b, c, delta in regressions:
             print(f"  {section}/{key}/{col}: {b:.4g} -> {c:.4g} ({delta:+.1%})",
                   file=out)
         return 1
     print(f"OK: {compared} values compared, no regression beyond "
-          f"{args.threshold:.0%}", file=out)
+          f"{args.threshold:.0%} (or a value's recorded run spread)",
+          file=out)
     return 0
 
 

@@ -44,7 +44,7 @@ cd "$RESULTS_DIR"
 BENCHES="fig4_mnist_layer_time fig5_mnist_layer_scalability \
 fig6_mnist_overall fig7_cifar_layer_time fig8_cifar_layer_scalability \
 fig9_cifar_overall tab_memory_overhead abl_reduction_modes abl_coalescing \
-abl_blas_vs_batch abl_model_sensitivity bench_plan bench_serve"
+abl_blas_vs_batch bench_plan bench_serve"
 if [ "$QUICK" -eq 1 ]; then
   BENCHES="fig4_mnist_layer_time fig6_mnist_overall abl_reduction_modes \
 bench_plan"
