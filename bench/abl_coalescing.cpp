@@ -49,9 +49,9 @@ int main() {
   const auto coalesced = bench::PrepareMnist(/*batch=*/64, /*iterations=*/5);
   const auto batch_only = bench::PrepareMnist(64, 5, bare);
   const SweepRow* c_row =
-      coalesced.sweep.Find("pool1", profile::LayerPhase::kForward);
+      coalesced.sweep.Find("pool1", parallel::LayerPhase::kForward);
   const SweepRow* b_row =
-      batch_only.sweep.Find("pool1", profile::LayerPhase::kForward);
+      batch_only.sweep.Find("pool1", parallel::LayerPhase::kForward);
   CGDNN_CHECK(c_row != nullptr && b_row != nullptr) << "pool1 did not run";
   printf("%8s %14s %14s\n", "threads", "coalesced", "batch-only");
   for (const int t : coalesced.sweep.threads) {

@@ -14,7 +14,7 @@ namespace cgdnn::bench {
 
 namespace {
 
-using profile::LayerPhase;
+using parallel::LayerPhase;
 
 std::string ThreadCol(int t) { return std::to_string(t) + "T"; }
 
@@ -95,7 +95,7 @@ void PrintLayerTimeFigure(const FigureContext& ctx, const std::string& title) {
   for (const SweepRow& row : ctx.sweep.rows) serial_total += P50Us(row, 1);
   auto& report = BenchReport::Get();
   for (const auto phase : {LayerPhase::kForward, LayerPhase::kBackward}) {
-    const std::string phase_name = profile::LayerPhaseName(phase);
+    const std::string phase_name = parallel::LayerPhaseName(phase);
     const std::string section = phase_name + "_us";
     std::cout << phase_name << " pass:\n"
               << std::left << std::setw(10) << "layer";
@@ -126,7 +126,7 @@ void PrintScalabilityFigure(const FigureContext& ctx,
   const std::vector<int>& threads = ctx.sweep.threads;
   auto& report = BenchReport::Get();
   for (const auto phase : {LayerPhase::kForward, LayerPhase::kBackward}) {
-    const std::string phase_name = profile::LayerPhaseName(phase);
+    const std::string phase_name = parallel::LayerPhaseName(phase);
     std::cout << phase_name << " pass:\n"
               << std::left << std::setw(10) << "layer";
     for (const int t : threads) {

@@ -28,7 +28,7 @@ struct FigureContext {
 
   /// p50 speedup of (layer, phase) at `threads` over one thread; 0 when the
   /// row is absent.
-  double Speedup(const std::string& layer, profile::LayerPhase phase,
+  double Speedup(const std::string& layer, parallel::LayerPhase phase,
                  int threads) const;
 };
 

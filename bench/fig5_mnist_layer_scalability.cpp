@@ -19,7 +19,7 @@ int main() {
   // 8-thread values (reported, not enforced).
   const int top = ctx.sweep.threads.back();
   const auto fwd = [&](const std::string& name) {
-    return ctx.Speedup(name, profile::LayerPhase::kForward, top);
+    return ctx.Speedup(name, parallel::LayerPhase::kForward, top);
   };
   std::cout << "forward speedup @" << top << "T: conv1 " << fwd("conv1")
             << "  conv2 " << fwd("conv2")

@@ -18,7 +18,7 @@ int main() {
 
   const int top = ctx.sweep.threads.back();
   const auto fwd = [&](const std::string& name) {
-    return ctx.Speedup(name, profile::LayerPhase::kForward, top);
+    return ctx.Speedup(name, parallel::LayerPhase::kForward, top);
   };
   std::cout << "forward speedup @" << top << "T: conv1 " << fwd("conv1")
             << " (paper: 5.87 at 8T / 9 at 16T)  pool1 " << fwd("pool1")

@@ -6,9 +6,10 @@
 #include <iostream>
 
 #include "cgdnn/net/models.hpp"
+#include "cgdnn/net/thread_sweep.hpp"
 #include "cgdnn/parallel/context.hpp"
-#include "cgdnn/profile/profiler.hpp"
 #include "cgdnn/solvers/solver.hpp"
+#include "cgdnn/trace/trace.hpp"
 
 int main(int argc, char** argv) {
   using namespace cgdnn;
@@ -39,14 +40,15 @@ int main(int argc, char** argv) {
     std::cout << "test " << name << ": " << value << "\n";
   }
 
-  profile::Profiler profiler;
-  solver->net().set_profiler(&profiler);
+  auto& registry = trace::MetricsRegistry::Default();
+  registry.Reset();
+  trace::SetMetrics(true);
   for (int i = 0; i < 3; ++i) {
     solver->net().ClearParamDiffs();
     solver->net().ForwardBackward();
   }
-  solver->net().set_profiler(nullptr);
+  trace::SetMetrics(false);
   std::cout << "\nPer-layer execution time (" << threads << " threads):\n"
-            << profiler.Table();
+            << LayerTimeTable(solver->net().layer_names(), registry);
   return 0;
 }

@@ -67,7 +67,10 @@ class SerialSwishLayer : public Layer<Dtype> {
 
 /// The "parallelized by one helper call" version: identical math, and the
 /// coarse-grain override is literally the serial loop body handed to the
-/// region helper, which splits the elements statically across threads.
+/// region helper, which splits the elements statically across threads. The
+/// call names nothing: its spans and imbalance metrics land under the layer
+/// phase Layer::Forward opened around it ("relu1.forward" here, since the
+/// net below keeps LeNet's layer name).
 template <typename Dtype>
 class SwishLayer : public SerialSwishLayer<Dtype> {
  public:
@@ -79,9 +82,9 @@ class SwishLayer : public SerialSwishLayer<Dtype> {
                             const std::vector<Blob<Dtype>*>& top) override {
     const Dtype* x = bottom[0]->cpu_data();
     Dtype* y = top[0]->mutable_cpu_data();
-    parallel::ForEachElement(
-        this->layer_param_.name + ".forward", bottom[0]->count(), y,
-        "top.data", [&](index_t i) { y[i] = x[i] * this->Sigmoid(x[i]); });
+    parallel::ForEachElement(bottom[0]->count(), y, "top.data", [&](index_t i) {
+      y[i] = x[i] * this->Sigmoid(x[i]);
+    });
   }
   void Backward_cpu_parallel(const std::vector<Blob<Dtype>*>& top,
                              const std::vector<bool>& propagate_down,
@@ -90,12 +93,11 @@ class SwishLayer : public SerialSwishLayer<Dtype> {
     const Dtype* x = bottom[0]->cpu_data();
     const Dtype* dy = top[0]->cpu_diff();
     Dtype* dx = bottom[0]->mutable_cpu_diff();
-    parallel::ForEachElement(this->layer_param_.name + ".backward",
-                             bottom[0]->count(), dx, "bottom.diff",
-                             [&](index_t i) {
-                               const Dtype s = this->Sigmoid(x[i]);
-                               dx[i] = dy[i] * (s + x[i] * s * (Dtype(1) - s));
-                             });
+    parallel::ForEachElement(
+        bottom[0]->count(), dx, "bottom.diff", [&](index_t i) {
+          const Dtype s = this->Sigmoid(x[i]);
+          dx[i] = dy[i] * (s + x[i] * s * (Dtype(1) - s));
+        });
   }
 };
 

@@ -45,10 +45,12 @@ namespace cgdnn::blackbox {
 enum class EventKind : std::uint16_t {
   kSpanBegin = 1,        ///< TRACE_SCOPE entry: a=0, b=0
   kSpanEnd = 2,          ///< TRACE_SCOPE exit
-  kRegionBegin = 3,      ///< parallel region entry (serial part), a=threads
-  kRegionEnd = 4,        ///< parallel region exit, a=threads
-  kChunkBegin = 5,       ///< per-thread chunk of a region, a=items
-  kChunkEnd = 6,         ///< per-thread chunk done, a=items
+  // Region begin/end (a=threads) are no longer emitted — a region reports
+  // into its layer phase — and stay so older dumps decode.
+  kRegionBegin = 3,
+  kRegionEnd = 4,
+  kChunkBegin = 5,       ///< per-thread chunk of a region, a=omp tid
+  kChunkEnd = 6,         ///< per-thread chunk done, a=omp tid
   kMergeBegin = 7,       ///< reduction/merge phase entry, a=mode
   kMergeEnd = 8,         ///< reduction/merge phase exit, a=mode
   kSolverIterBegin = 9,  ///< a=iteration
@@ -56,7 +58,8 @@ enum class EventKind : std::uint16_t {
   kCheckpointBegin = 11, ///< a=iteration
   kCheckpointEnd = 12,   ///< a=iteration, b=bytes written
   kViolation = 13,       ///< write-set checker violation, a=kind detail
-  kLayerBegin = 14,      ///< layer phase begin (fwd/bwd), a=phase
+  kLayerBegin = 14,      ///< layer phase begin, name "<layer>.<phase>",
+                         ///< a=phase (0 forward, 1 backward)
   kLayerEnd = 15,        ///< layer phase end, a=phase
   kMax = 16,
 };
@@ -77,9 +80,11 @@ enum class DumpReason : std::uint32_t {
 /// CGDNN_BLACKBOX=off environment variable). Cheap: one relaxed load.
 bool Enabled();
 
-/// Record one event into the calling thread's ring. `name` must be a
-/// string literal or otherwise immortal — the recorder interns the pointer,
-/// not a copy. No-op (one branch) when disabled.
+/// Record one event into the calling thread's ring. `name` is interned by
+/// content: its first 63 characters are copied into the recorder's name
+/// table on first use, so any NUL-terminated string works and need only
+/// live for the call (names sharing a 63-character prefix share one entry).
+/// No-op (one branch) when disabled.
 void Record(EventKind kind, const char* name, std::uint64_t a = 0,
             std::uint64_t b = 0);
 

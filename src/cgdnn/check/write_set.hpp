@@ -19,12 +19,13 @@
 // constant false and every hook folds away.
 //
 // Threading contract: the checker object is created and destroyed in serial
-// code (it lives inside parallel::RegionStats, which brackets the omp
-// region). RecordWrite/EndWritePhase are called by the owning thread on its
-// own slot only — no locks needed. BeginMerge reads other threads' phase
-// flags, which are released by the barrier preceding every merge; a
-// violation found inside the region is parked and re-thrown serially by
-// Verify() so no exception crosses the parallel-region boundary.
+// code (the region helper, parallel/region.hpp, owns one per region around
+// the omp region). RecordWrite/EndWritePhase are called by the owning
+// thread on its own slot only — no locks needed. BeginMerge reads other
+// threads' phase flags, which are released by the barrier preceding every
+// merge; a violation found inside the region is parked and re-thrown
+// serially by Verify() so no exception crosses the parallel-region
+// boundary.
 #pragma once
 
 #include <cstdint>
@@ -108,7 +109,7 @@ class WriteSetChecker {
   const std::string& region() const { return region_; }
 
   /// Process-wide "current region" pointer so call sites that cannot see
-  /// the owning RegionStats (the merge kernels) can reach the checker.
+  /// the owning region helper (the merge kernels) can reach the checker.
   /// Set/cleared serially by the owner; regions do not nest.
   static WriteSetChecker* Current();
 
@@ -141,7 +142,8 @@ class WriteSetChecker {
   std::string merge_violation_ CGDNN_GUARDED_BY(merge_violation_mu_);
 };
 
-/// Serial RAII binding of WriteSetChecker::Current() (used by RegionStats).
+/// Serial RAII binding of WriteSetChecker::Current() (used by the region
+/// helper).
 class CurrentRegionBinding {
  public:
   explicit CurrentRegionBinding(WriteSetChecker* checker);

@@ -139,8 +139,7 @@ void BatchNormLayer<Dtype>::Forward_cpu_parallel(
   Dtype* mean = mean_.mutable_cpu_data();      // resolved before the region
   Dtype* inv_std = inv_std_.mutable_cpu_data();
   parallel::ForEachChunk(
-      this->layer_param_.name + ".forward", channels_,
-      [&](const parallel::Chunk& c) {
+      channels_, [&](const parallel::Chunk& c) {
         ForwardChannels(x, y, mean, inv_std, c.begin, c.end);
         c.Wrote(mean, "mean", c.begin, c.end);
         c.Wrote(inv_std, "inv_std", c.begin, c.end);
@@ -213,12 +212,10 @@ void BatchNormLayer<Dtype>::Backward_cpu_parallel(
   const Dtype* x = bottom[0]->cpu_data();
   const Dtype* dy = top[0]->cpu_diff();
   Dtype* dx = bottom[0]->mutable_cpu_diff();
-  parallel::ForEachChunk(this->layer_param_.name + ".backward", channels_,
-                         [&](const parallel::Chunk& c) {
-                           BackwardChannels(x, dy, dx, c.begin, c.end);
-                           DeclareChannelSlabs(c, dx, "bottom.diff", num_,
-                                               channels_, spatial_);
-                         });
+  parallel::ForEachChunk(channels_, [&](const parallel::Chunk& c) {
+    BackwardChannels(x, dy, dx, c.begin, c.end);
+    DeclareChannelSlabs(c, dx, "bottom.diff", num_, channels_, spatial_);
+  });
 }
 
 template class BatchNormLayer<float>;

@@ -235,8 +235,8 @@ void ConvolutionLayer<Dtype>::Forward_cpu_parallel(
   // buffer, and all writes are disjoint.
   const bool need_col = forward_strategy_ != ConvStrategy::kDirect;
   parallel::ForEachChunkPrivate<Dtype>(
-      this->layer_param_.name + ".forward", num_, need_col ? col_count_ : 0,
-      {}, [&](const parallel::Chunk& c, Dtype* col, Dtype* const*) {
+      num_, need_col ? col_count_ : 0, {},
+      [&](const parallel::Chunk& c, Dtype* col, Dtype* const*) {
         for (index_t n = c.begin; n < c.end; ++n) {
           ForwardSample(bottom_data + n * bottom_dim_,
                         top_data + n * top_dim_, col);
@@ -307,7 +307,7 @@ void ConvolutionLayer<Dtype>::Backward_cpu_parallel(
   // accumulates its samples into private copies (Algorithm 5), which the
   // helper merges with the configured GradientMerge after the barrier.
   parallel::ForEachChunkPrivate<Dtype>(
-      this->layer_param_.name + ".backward", num_, need_col ? col_count_ : 0,
+      num_, need_col ? col_count_ : 0,
       {{weight_diff, this->blobs_[0]->count()},
        {bias_diff, bias_term_ ? this->blobs_[1]->count() : 0}},
       [&](const parallel::Chunk& c, Dtype* col, Dtype* const* priv) {

@@ -21,8 +21,7 @@ void ElementwiseNeuronLayer<Dtype>::Forward_cpu_parallel(
   const Dtype* x = bottom[0]->cpu_data();
   Dtype* y = top[0]->mutable_cpu_data();
   const index_t count = bottom[0]->count();
-  parallel::ForEachElement(this->layer_param_.name + ".forward", count, y,
-                           "top.data",
+  parallel::ForEachElement(count, y, "top.data",
                            [&](index_t i) { y[i] = Evaluate(x[i]); });
 }
 
@@ -55,9 +54,9 @@ void ElementwiseNeuronLayer<Dtype>::Backward_cpu_parallel(
   const Dtype* dy = top[0]->cpu_diff();
   Dtype* dx = bottom[0]->mutable_cpu_diff();
   const index_t count = bottom[0]->count();
-  parallel::ForEachElement(
-      this->layer_param_.name + ".backward", count, dx, "bottom.diff",
-      [&](index_t i) { dx[i] = dy[i] * Derivative(x[i], y[i]); });
+  parallel::ForEachElement(count, dx, "bottom.diff", [&](index_t i) {
+    dx[i] = dy[i] * Derivative(x[i], y[i]);
+  });
 }
 
 #define CGDNN_INSTANTIATE_EXTRA(Layer) \

@@ -78,8 +78,7 @@ void InnerProductLayer<Dtype>::Forward_cpu_parallel(
   // its contiguous block of samples (rows). Row results are independent,
   // so this is bit-identical to the serial GEMM.
   parallel::ForEachChunk(
-      this->layer_param_.name + ".forward", m_,
-      [&](const parallel::Chunk& c) {
+      m_, [&](const parallel::Chunk& c) {
         const index_t rows = c.end - c.begin;
         if (rows == 0) return;
         Dtype* out = top_data + c.begin * num_output_;
@@ -152,8 +151,7 @@ void InnerProductLayer<Dtype>::Backward_cpu_parallel(
   // batch-partitioned accumulation would privatize. The bottom gradient
   // stays batch-partitioned (disjoint per sample).
   parallel::ForEachChunk(
-      this->layer_param_.name + ".backward", m_,
-      [&](const parallel::Chunk& c) {
+      m_, [&](const parallel::Chunk& c) {
         const parallel::IterRange rows = c.Share(num_output_);
         for (index_t o = rows.begin; o < rows.end; ++o) {
           if (weight_diff != nullptr) {

@@ -9,6 +9,8 @@ namespace cgdnn {
 template <typename Dtype>
 Dtype Layer<Dtype>::Forward(const std::vector<Blob<Dtype>*>& bottom,
                             const std::vector<Blob<Dtype>*>& top) {
+  parallel::LayerPhaseScope scope(forward_name_.c_str(),
+                                  parallel::LayerPhase::kForward);
   Reshape(bottom, top);
   if (parallel::Parallel::CoarseGrain()) {
     Forward_cpu_parallel(bottom, top);
@@ -31,6 +33,8 @@ void Layer<Dtype>::Backward(const std::vector<Blob<Dtype>*>& top,
                             const std::vector<bool>& propagate_down,
                             const std::vector<Blob<Dtype>*>& bottom) {
   CGDNN_CHECK_EQ(propagate_down.size(), bottom.size());
+  parallel::LayerPhaseScope scope(backward_name_.c_str(),
+                                  parallel::LayerPhase::kBackward);
   if (parallel::Parallel::CoarseGrain()) {
     Backward_cpu_parallel(top, propagate_down, bottom);
   } else {

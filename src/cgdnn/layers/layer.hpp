@@ -10,7 +10,10 @@
 //     ForEachChunkPrivate call (parallel/region.hpp) around the per-sample
 //     body, which owns the coalesced static partition, per-thread
 //     privatization and the ordered gradient merge.
-// Forward()/Backward() dispatch on the global parallel::Parallel config;
+// Forward()/Backward() open the phase's parallel::LayerPhaseScope — the one
+// recorder of the phase's time, span, imbalance and flight-recorder
+// position, named "<layer>.forward|backward" — and dispatch on the global
+// parallel::Parallel config;
 // a layer without a parallel specialization falls back to the serial code,
 // which is exactly the "network-agnostic" property: new layer types work
 // unchanged, and gain batch-parallelism when their author wraps the sample
@@ -18,12 +21,14 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cgdnn/core/blob.hpp"
 #include "cgdnn/core/common.hpp"
 #include "cgdnn/layers/fused_op.hpp"
 #include "cgdnn/parallel/context.hpp"
+#include "cgdnn/parallel/instrument.hpp"
 #include "cgdnn/proto/params.hpp"
 
 namespace cgdnn {
@@ -32,7 +37,12 @@ template <typename Dtype>
 class Layer {
  public:
   explicit Layer(const proto::LayerParameter& param)
-      : layer_param_(param), phase_(param.include_phase.value_or(Phase::kTrain)) {}
+      : layer_param_(param),
+        phase_(param.include_phase.value_or(Phase::kTrain)),
+        forward_name_(parallel::LayerPhaseKey(param.name,
+                                              parallel::LayerPhase::kForward)),
+        backward_name_(parallel::LayerPhaseKey(
+            param.name, parallel::LayerPhase::kBackward)) {}
   virtual ~Layer() = default;
   Layer(const Layer&) = delete;
   Layer& operator=(const Layer&) = delete;
@@ -173,6 +183,11 @@ class Layer {
   std::vector<bool> param_propagate_down_;
   std::vector<Dtype> loss_;
   std::shared_ptr<const FusedEpilogue<Dtype>> fused_epilogue_;
+
+ private:
+  // Phase names, built once: Forward/Backward build no string per pass.
+  std::string forward_name_;
+  std::string backward_name_;
 };
 
 // ----------------------------------------------------------------- Registry

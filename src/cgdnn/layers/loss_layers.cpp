@@ -77,8 +77,7 @@ void SoftmaxWithLossLayer<Dtype>::Forward_cpu_parallel(
   Dtype* prob_data = prob_.mutable_cpu_data();  // resolved before the region
   Dtype* per_sample = per_sample_loss_.data();
   parallel::ForEachChunk(
-      this->layer_param_.name + ".forward", num_,
-      [&](const parallel::Chunk& c) {
+      num_, [&](const parallel::Chunk& c) {
         for (index_t n = c.begin; n < c.end; ++n) {
           per_sample[n] = ForwardSample(bottom_data, label, prob_data, n);
         }
@@ -135,8 +134,7 @@ void SoftmaxWithLossLayer<Dtype>::Backward_cpu_parallel(
   Dtype* bottom_diff = bottom[0]->mutable_cpu_diff();
   const Dtype scale = top[0]->cpu_diff()[0] / Normalizer();
   parallel::ForEachChunk(
-      this->layer_param_.name + ".backward", num_,
-      [&](const parallel::Chunk& c) {
+      num_, [&](const parallel::Chunk& c) {
         for (index_t n = c.begin; n < c.end; ++n) {
           BackwardSample(label, bottom_diff, n, scale);
         }

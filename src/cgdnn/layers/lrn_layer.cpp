@@ -105,7 +105,6 @@ void LRNLayer<Dtype>::Forward_cpu(const std::vector<Blob<Dtype>*>& bottom,
 template <typename Dtype>
 template <typename RowFn>
 void LRNLayer<Dtype>::ForEachRowChunk(
-    const char* phase,
     std::initializer_list<std::pair<const Dtype*, const char*>> written,
     const RowFn& row) const {
   // LRN coalesces (N, H) — the channel window forbids splitting C, so its
@@ -117,8 +116,7 @@ void LRNLayer<Dtype>::ForEachRowChunk(
   const index_t plane = height_ * width_;
   const parallel::CoalescedRange rows{num_, height_};
   parallel::ForEachChunk(
-      this->layer_param_.name + phase, coalesce ? rows.total() : num_,
-      [&](const parallel::Chunk& c) {
+      coalesce ? rows.total() : num_, [&](const parallel::Chunk& c) {
         for (index_t r = c.begin * per_item; r < c.end * per_item; ++r) {
           const auto idx = rows.Decode(r);  // idx[0] = n, idx[1] = y
           const index_t n = idx[0], y = idx[1];
@@ -142,7 +140,7 @@ void LRNLayer<Dtype>::Forward_cpu_parallel(
   Dtype* top_data = top[0]->mutable_cpu_data();
   Dtype* scale_data = scale_.mutable_cpu_data();
   const index_t sample = channels_ * height_ * width_;
-  ForEachRowChunk(".forward", {{top_data, "top.data"}, {scale_data, "scale"}},
+  ForEachRowChunk({{top_data, "top.data"}, {scale_data, "scale"}},
                   [&](index_t n, index_t y) {
                     ForwardRow(bottom_data + n * sample,
                                top_data + n * sample, scale_data + n * sample,
@@ -182,7 +180,7 @@ void LRNLayer<Dtype>::Backward_cpu_parallel(
   const Dtype* top_diff = top[0]->cpu_diff();
   Dtype* bottom_diff = bottom[0]->mutable_cpu_diff();
   const index_t sample = channels_ * height_ * width_;
-  ForEachRowChunk(".backward", {{bottom_diff, "bottom.diff"}},
+  ForEachRowChunk({{bottom_diff, "bottom.diff"}},
                   [&](index_t n, index_t y) {
                     BackwardRow(bottom_data + n * sample,
                                 top_data + n * sample, scale_data + n * sample,

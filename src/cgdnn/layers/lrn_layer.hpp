@@ -56,7 +56,6 @@ class LRNLayer : public Layer<Dtype> {
   /// declares each row's strided writes to the `written` blobs.
   template <typename RowFn>
   void ForEachRowChunk(
-      const char* phase,
       std::initializer_list<std::pair<const Dtype*, const char*>> written,
       const RowFn& row) const;
 

@@ -31,8 +31,7 @@ void ReLULayer<Dtype>::Forward_cpu_parallel(
   Dtype* top_data = top[0]->mutable_cpu_data();
   const index_t count = bottom[0]->count();
   const Dtype slope = negative_slope_;
-  parallel::ForEachElement(this->layer_param_.name + ".forward", count,
-                           top_data, "top.data", [&](index_t i) {
+  parallel::ForEachElement(count, top_data, "top.data", [&](index_t i) {
     top_data[i] = bottom_data[i] > 0 ? bottom_data[i] : slope * bottom_data[i];
   });
 }
@@ -63,8 +62,7 @@ void ReLULayer<Dtype>::Backward_cpu_parallel(
   Dtype* bottom_diff = bottom[0]->mutable_cpu_diff();
   const index_t count = bottom[0]->count();
   const Dtype slope = negative_slope_;
-  parallel::ForEachElement(this->layer_param_.name + ".backward", count,
-                           bottom_diff, "bottom.diff", [&](index_t i) {
+  parallel::ForEachElement(count, bottom_diff, "bottom.diff", [&](index_t i) {
     bottom_diff[i] = top_diff[i] * (bottom_data[i] > 0 ? Dtype(1) : slope);
   });
 }
@@ -94,9 +92,9 @@ void SigmoidLayer<Dtype>::Forward_cpu_parallel(
   const Dtype* bottom_data = bottom[0]->cpu_data();
   Dtype* top_data = top[0]->mutable_cpu_data();
   const index_t count = bottom[0]->count();
-  parallel::ForEachElement(
-      this->layer_param_.name + ".forward", count, top_data, "top.data",
-      [&](index_t i) { top_data[i] = SigmoidFn(bottom_data[i]); });
+  parallel::ForEachElement(count, top_data, "top.data", [&](index_t i) {
+    top_data[i] = SigmoidFn(bottom_data[i]);
+  });
 }
 
 template <typename Dtype>
@@ -123,8 +121,7 @@ void SigmoidLayer<Dtype>::Backward_cpu_parallel(
   const Dtype* top_diff = top[0]->cpu_diff();
   Dtype* bottom_diff = bottom[0]->mutable_cpu_diff();
   const index_t count = bottom[0]->count();
-  parallel::ForEachElement(this->layer_param_.name + ".backward", count,
-                           bottom_diff, "bottom.diff", [&](index_t i) {
+  parallel::ForEachElement(count, bottom_diff, "bottom.diff", [&](index_t i) {
     bottom_diff[i] = top_diff[i] * top_data[i] * (Dtype(1) - top_data[i]);
   });
 }
@@ -147,9 +144,9 @@ void TanHLayer<Dtype>::Forward_cpu_parallel(
   const Dtype* bottom_data = bottom[0]->cpu_data();
   Dtype* top_data = top[0]->mutable_cpu_data();
   const index_t count = bottom[0]->count();
-  parallel::ForEachElement(
-      this->layer_param_.name + ".forward", count, top_data, "top.data",
-      [&](index_t i) { top_data[i] = std::tanh(bottom_data[i]); });
+  parallel::ForEachElement(count, top_data, "top.data", [&](index_t i) {
+    top_data[i] = std::tanh(bottom_data[i]);
+  });
 }
 
 template <typename Dtype>
@@ -176,8 +173,7 @@ void TanHLayer<Dtype>::Backward_cpu_parallel(
   const Dtype* top_diff = top[0]->cpu_diff();
   Dtype* bottom_diff = bottom[0]->mutable_cpu_diff();
   const index_t count = bottom[0]->count();
-  parallel::ForEachElement(this->layer_param_.name + ".backward", count,
-                           bottom_diff, "bottom.diff", [&](index_t i) {
+  parallel::ForEachElement(count, bottom_diff, "bottom.diff", [&](index_t i) {
     bottom_diff[i] = top_diff[i] * (Dtype(1) - top_data[i] * top_data[i]);
   });
 }
@@ -237,8 +233,7 @@ void DropoutLayer<Dtype>::Forward_cpu_parallel(
     ++pass_counter_;
     Dtype* mask = mask_.data();
     parallel::ForEachChunk(
-        this->layer_param_.name + ".forward", count,
-        [&](const parallel::Chunk& c) {
+        count, [&](const parallel::Chunk& c) {
           for (index_t i = c.begin; i < c.end; ++i) {
             // The counter-based mask stream makes this loop order-free:
             // element i's mask does not depend on which thread evaluates it.
@@ -282,8 +277,7 @@ void DropoutLayer<Dtype>::Backward_cpu_parallel(
   if (this->phase_ == Phase::kTrain) {
     const Dtype* mask = mask_.data();
     parallel::ForEachElement(
-        this->layer_param_.name + ".backward", count, bottom_diff,
-        "bottom.diff",
+        count, bottom_diff, "bottom.diff",
         [&](index_t i) { bottom_diff[i] = top_diff[i] * mask[i]; });
   } else {
     blas::copy(count, top_diff, bottom_diff);

@@ -189,8 +189,7 @@ void PoolingLayer<Dtype>::Forward_cpu_parallel(
   const bool coalesce = parallel::Parallel::Config().coalesce;
   const index_t per_item = coalesce ? 1 : channels_;
   parallel::ForEachChunk(
-      this->layer_param_.name + ".forward", coalesce ? num_ * channels_ : num_,
-      [&](const parallel::Chunk& c) {
+      coalesce ? num_ * channels_ : num_, [&](const parallel::Chunk& c) {
         const index_t first = c.begin * per_item;
         const index_t last = c.end * per_item;
         for (index_t plane = first; plane < last; ++plane) {
@@ -240,8 +239,7 @@ void PoolingLayer<Dtype>::Backward_cpu_parallel(
   const bool coalesce = parallel::Parallel::Config().coalesce;
   const index_t per_item = coalesce ? 1 : channels_;
   parallel::ForEachChunk(
-      this->layer_param_.name + ".backward", coalesce ? num_ * channels_ : num_,
-      [&](const parallel::Chunk& c) {
+      coalesce ? num_ * channels_ : num_, [&](const parallel::Chunk& c) {
         const index_t first = c.begin * per_item;
         const index_t last = c.end * per_item;
         for (index_t plane = first; plane < last; ++plane) {

@@ -71,8 +71,7 @@ void ScaleLayer<Dtype>::Forward_cpu_parallel(
   // Coalesced (outer, scale_dim) loop: item civ is one inner_-long slice.
   const parallel::CoalescedRange range{outer_, scale_dim_};
   parallel::ForEachChunk(
-      this->layer_param_.name + ".forward", range.total(),
-      [&](const parallel::Chunk& c) {
+      range.total(), [&](const parallel::Chunk& c) {
         for (index_t civ = c.begin; civ < c.end; ++civ) {
           const index_t s = range.Decode(civ)[1];
           const index_t base = civ * inner_;
@@ -143,8 +142,7 @@ void ScaleLayer<Dtype>::Backward_cpu_parallel(
   // bottom gradient is a separate coalesced (outer, scale_dim) partition.
   const parallel::CoalescedRange range{outer_, scale_dim_};
   parallel::ForEachChunk(
-      this->layer_param_.name + ".backward", scale_dim_,
-      [&](const parallel::Chunk& c) {
+      scale_dim_, [&](const parallel::Chunk& c) {
         if (dw != nullptr || db != nullptr) {
           for (index_t s = c.begin; s < c.end; ++s) {
             Dtype wsum = dw != nullptr ? dw[s] : Dtype(0);
@@ -229,8 +227,7 @@ void BiasLayer<Dtype>::Forward_cpu_parallel(
   Dtype* y = top[0]->mutable_cpu_data();
   const parallel::CoalescedRange range{outer_, bias_dim_};
   parallel::ForEachChunk(
-      this->layer_param_.name + ".forward", range.total(),
-      [&](const parallel::Chunk& c) {
+      range.total(), [&](const parallel::Chunk& c) {
         for (index_t civ = c.begin; civ < c.end; ++civ) {
           const index_t s = range.Decode(civ)[1];
           const index_t base = civ * inner_;
@@ -272,8 +269,7 @@ void BiasLayer<Dtype>::Backward_cpu_parallel(
   if (do_b) {
     // Coefficient-partitioned, as in ScaleLayer's backward.
     parallel::ForEachChunk(
-        this->layer_param_.name + ".backward", bias_dim_,
-        [&](const parallel::Chunk& c) {
+        bias_dim_, [&](const parallel::Chunk& c) {
           for (index_t s = c.begin; s < c.end; ++s) {
             Dtype sum = db[s];
             for (index_t o = 0; o < outer_; ++o) {

@@ -169,14 +169,10 @@ void ArgMaxLayer<Dtype>::Forward_cpu_parallel(
   Dtype* out = top[0]->mutable_cpu_data();
   const index_t num = bottom[0]->shape(0);
   const index_t out_dim = out_max_val_ ? 2 * top_k_ : top_k_;
-  parallel::ForEachChunk(this->layer_param_.name + ".forward", num,
-                         [&](const parallel::Chunk& c) {
-                           for (index_t n = c.begin; n < c.end; ++n) {
-                             ForwardSample(scores, out, n);
-                           }
-                           c.Wrote(out, "top.data", c.begin * out_dim,
-                                   c.end * out_dim);
-                         });
+  parallel::ForEachChunk(num, [&](const parallel::Chunk& c) {
+    for (index_t n = c.begin; n < c.end; ++n) ForwardSample(scores, out, n);
+    c.Wrote(out, "top.data", c.begin * out_dim, c.end * out_dim);
+  });
 }
 
 #define CGDNN_INSTANTIATE_SHAPE(Layer) \

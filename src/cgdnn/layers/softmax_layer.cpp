@@ -57,16 +57,14 @@ void SoftmaxLayer<Dtype>::BackwardPosition(const Dtype* top_data,
 
 template <typename Dtype>
 template <typename PositionFn>
-void SoftmaxLayer<Dtype>::ForEachPositionChunk(const char* phase,
-                                               const Dtype* written,
+void SoftmaxLayer<Dtype>::ForEachPositionChunk(const Dtype* written,
                                                const char* blob,
                                                const PositionFn& fn) const {
   // Coalesced (outer, inner) loop; a position's channels are strided by
   // inner_num_, so each one is declared as its own element.
   const parallel::CoalescedRange range{outer_num_, inner_num_};
   parallel::ForEachChunk(
-      this->layer_param_.name + phase, range.total(),
-      [&](const parallel::Chunk& c) {
+      range.total(), [&](const parallel::Chunk& c) {
         for (index_t civ = c.begin; civ < c.end; ++civ) {
           const auto idx = range.Decode(civ);
           const index_t outer = idx[0], inner = idx[1];
@@ -98,7 +96,7 @@ void SoftmaxLayer<Dtype>::Forward_cpu_parallel(
     const std::vector<Blob<Dtype>*>& top) {
   const Dtype* bottom_data = bottom[0]->cpu_data();
   Dtype* top_data = top[0]->mutable_cpu_data();
-  ForEachPositionChunk(".forward", top_data, "top.data",
+  ForEachPositionChunk(top_data, "top.data",
                        [&](index_t outer, index_t inner) {
                          ForwardPosition(bottom_data, top_data, outer, inner);
                        });
@@ -128,7 +126,7 @@ void SoftmaxLayer<Dtype>::Backward_cpu_parallel(
   const Dtype* top_data = top[0]->cpu_data();
   const Dtype* top_diff = top[0]->cpu_diff();
   Dtype* bottom_diff = bottom[0]->mutable_cpu_diff();
-  ForEachPositionChunk(".backward", bottom_diff, "bottom.diff",
+  ForEachPositionChunk(bottom_diff, "bottom.diff",
                        [&](index_t outer, index_t inner) {
                          BackwardPosition(top_data, top_diff, bottom_diff,
                                           outer, inner);

@@ -39,8 +39,8 @@ class SoftmaxLayer : public Layer<Dtype> {
   /// Runs fn(outer, inner) for every position in one parallel region and
   /// declares each position's channel writes to `written`.
   template <typename PositionFn>
-  void ForEachPositionChunk(const char* phase, const Dtype* written,
-                            const char* blob, const PositionFn& fn) const;
+  void ForEachPositionChunk(const Dtype* written, const char* blob,
+                            const PositionFn& fn) const;
 
   index_t outer_num_ = 0;
   index_t channels_ = 0;

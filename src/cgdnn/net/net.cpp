@@ -2,11 +2,6 @@
 
 #include <sstream>
 
-#include "cgdnn/blackbox/blackbox.hpp"
-#include "cgdnn/perfctr/perfctr.hpp"
-#include "cgdnn/profile/timer.hpp"
-#include "cgdnn/trace/counters.hpp"
-#include "cgdnn/trace/metrics.hpp"
 #include "cgdnn/trace/trace.hpp"
 
 namespace cgdnn {
@@ -23,58 +18,6 @@ std::string SplitBlobName(const std::string& layer_name,
   std::ostringstream os;
   os << blob_name << "_" << layer_name << "_split_" << k;
   return os.str();
-}
-
-/// One per-layer timing path serves the profiler, the span tracer and the
-/// metrics registry: a span on the serial (driver) thread's timeline per
-/// layer phase, a PhaseStats sample when a profiler is attached, and a
-/// `layer.<name>.<phase>.us` histogram sample when metrics collection is on
-/// (via Profiler::Record, or directly when no profiler is attached).
-///
-/// When hardware-counter collection is armed as well, the driver thread's
-/// counter deltas over the layer are recorded under the same prefix
-/// (`layer.<name>.<phase>.cycles`, `.ipc_last`, ...). In a multi-threaded
-/// run these deltas cover only the driver thread's share of the parallel
-/// work — the per-thread region metrics (`region.<name>.<phase>.*`) carry
-/// the full team; in a serial run they cover the whole layer.
-template <typename Dtype, typename Body>
-void TimedLayerPhase(profile::Profiler* profiler, const std::string& layer,
-                     profile::LayerPhase phase, Body&& body) {
-  // Always-on flight-recorder breadcrumbs (both paths): a crash dump can
-  // name the layer in flight even when tracing/profiling are off.
-  blackbox::Record(blackbox::EventKind::kLayerBegin, layer.c_str(),
-                   static_cast<std::uint64_t>(phase));
-  if (profiler == nullptr && !trace::CollectionActive()) {
-    body();
-    blackbox::Record(blackbox::EventKind::kLayerEnd, layer.c_str(),
-                     static_cast<std::uint64_t>(phase));
-    return;
-  }
-  TRACE_SCOPE("layer",
-              layer + "." + profile::LayerPhaseName(phase));
-  perfctr::Sample ctr_begin;
-  const bool want_ctr_metrics =
-      trace::MetricsActive() && perfctr::CollectionActive();
-  if (want_ctr_metrics) ctr_begin = perfctr::ReadThreadCounters();
-  profile::Timer timer;
-  body();
-  const double us = timer.MicroSeconds();
-  if (ctr_begin.valid) {
-    trace::RecordCounterDeltaMetrics(
-        "layer." + layer + "." + profile::LayerPhaseName(phase),
-        perfctr::ComputeDelta(ctr_begin, perfctr::ReadThreadCounters()),
-        trace::MetricsRegistry::Default());
-  }
-  if (profiler != nullptr) {
-    profiler->Record(layer, phase, us);
-  } else if (trace::MetricsActive()) {
-    trace::MetricsRegistry::Default()
-        .GetHistogram("layer." + layer + "." + profile::LayerPhaseName(phase) +
-                      ".us")
-        .Observe(us);
-  }
-  blackbox::Record(blackbox::EventKind::kLayerEnd, layer.c_str(),
-                   static_cast<std::uint64_t>(phase));
 }
 
 }  // namespace
@@ -154,6 +97,8 @@ Net<Dtype>::Net(const proto::NetParameter& param, Phase phase)
 template <typename Dtype>
 void Net<Dtype>::Init(const proto::NetParameter& param) {
   name_ = param.name;
+  forward_name_ = name_ + ".forward";
+  backward_name_ = name_ + ".backward";
   force_backward_ = param.force_backward;
 
   for (std::size_t li = 0; li < param.layer.size(); ++li) {
@@ -277,33 +222,25 @@ void Net<Dtype>::AppendParams(const proto::LayerParameter& lp,
 
 template <typename Dtype>
 Dtype Net<Dtype>::Forward() {
-  TRACE_SCOPE("net", name_ + ".forward");
+  TRACE_SCOPE("net", forward_name_.c_str());
   Dtype loss = 0;
   for (std::size_t li = 0; li < layers_.size(); ++li) {
     // Fused consumers run inside their producer's output loop (a planner-
     // installed FusedEpilogue); skipping them here is what removes the
     // extra memory round-trip. They still run their own Backward.
     if (layer_forward_skip(li)) continue;
-    TimedLayerPhase<Dtype>(profiler_, layer_names_[li],
-                           profile::LayerPhase::kForward, [&] {
-                             loss += layers_[li]->Forward(bottom_vecs_[li],
-                                                          top_vecs_[li]);
-                           });
+    loss += layers_[li]->Forward(bottom_vecs_[li], top_vecs_[li]);
   }
   return loss;
 }
 
 template <typename Dtype>
 void Net<Dtype>::Backward() {
-  TRACE_SCOPE("net", name_ + ".backward");
+  TRACE_SCOPE("net", backward_name_.c_str());
   for (std::size_t li = layers_.size(); li-- > 0;) {
     if (!layer_need_backward_[li]) continue;
-    TimedLayerPhase<Dtype>(profiler_, layer_names_[li],
-                           profile::LayerPhase::kBackward, [&] {
-                             layers_[li]->Backward(top_vecs_[li],
-                                                   bottom_need_backward_[li],
-                                                   bottom_vecs_[li]);
-                           });
+    layers_[li]->Backward(top_vecs_[li], bottom_need_backward_[li],
+                          bottom_vecs_[li]);
   }
 }
 

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "cgdnn/layers/layer.hpp"
-#include "cgdnn/profile/profiler.hpp"
 
 namespace cgdnn {
 
@@ -113,10 +112,6 @@ class Net {
   /// Bytes held by learnable parameters (subset of the above).
   std::size_t ParamMemoryBytes() const;
 
-  /// Attaches a profiler recording per-layer forward/backward times
-  /// (nullptr detaches).
-  void set_profiler(profile::Profiler* profiler) { profiler_ = profiler; }
-
   /// Splits shared tops: the preprocessing Caffe applies before wiring.
   /// Public for tests.
   static proto::NetParameter InsertSplits(const proto::NetParameter& param);
@@ -131,6 +126,9 @@ class Net {
   void AppendParams(const proto::LayerParameter& lp, std::size_t layer_index);
 
   std::string name_;
+  // Span names of the whole-net passes, built once in Init.
+  std::string forward_name_;
+  std::string backward_name_;
   Phase phase_;
 
   std::vector<std::shared_ptr<Layer<Dtype>>> layers_;
@@ -162,7 +160,6 @@ class Net {
   std::shared_ptr<void> plan_state_;      // owned by the execution plan
 
   bool force_backward_ = false;
-  profile::Profiler* profiler_ = nullptr;
 };
 
 }  // namespace cgdnn

@@ -2,11 +2,13 @@
 // cgdnn_audit and the figure benches (paper Figs 4-9).
 //
 // For each thread count the net runs under a Parallel::Scope: `warmup`
-// untimed iterations, then `iterations` profiled ones with metrics armed.
-// Every (layer, phase, T) cell keeps all of its per-iteration samples, so a
+// untimed iterations, then `iterations` timed ones with metrics armed. The
+// metrics registry is the one sink: each layer phase's scope records its
+// time into `layer.<layer>.<phase>.us`, and the sweep reads one sample per
+// timed iteration as the growth of that histogram's sum. Every
+// (layer, phase, T) cell keeps all of its per-iteration samples, so a
 // consumer reads min / p50 / max (run-to-run spread) or the mean, plus the
-// region imbalance and counter ratios the metrics registry collected at
-// that thread count.
+// imbalance and counter ratios the phase recorded at that thread count.
 #pragma once
 
 #include <map>
@@ -16,7 +18,9 @@
 
 #include "cgdnn/net/net.hpp"
 #include "cgdnn/parallel/context.hpp"
-#include "cgdnn/profile/profiler.hpp"
+#include "cgdnn/parallel/instrument.hpp"
+#include "cgdnn/profile/phase_stats.hpp"
+#include "cgdnn/trace/metrics.hpp"
 
 namespace cgdnn {
 
@@ -33,7 +37,7 @@ struct SweepCell {
 struct SweepRow {
   std::string layer;
   std::string type;
-  profile::LayerPhase phase = profile::LayerPhase::kForward;
+  parallel::LayerPhase phase = parallel::LayerPhase::kForward;
   std::map<int, SweepCell> by_threads;
 };
 
@@ -46,7 +50,7 @@ struct ThreadSweep {
 
   /// The row for (layer, phase), or nullptr when it never ran.
   const SweepRow* Find(const std::string& layer,
-                       profile::LayerPhase phase) const;
+                       parallel::LayerPhase phase) const;
 };
 
 /// Measures `net` at every thread count in `threads` (T = 1 runs serially).
@@ -55,5 +59,16 @@ struct ThreadSweep {
 ThreadSweep MeasureThreadSweep(Net<float>& net, const std::vector<int>& threads,
                                int warmup, int iterations,
                                const parallel::ParallelConfig& base = {});
+
+/// Figure 4/7-style table of the `layer.<layer>.<phase>.us` histograms in
+/// `registry` for `layers` (network order): mean and min microseconds per
+/// phase and each phase's share of the summed means (one iteration).
+std::string LayerTimeTable(const std::vector<std::string>& layers,
+                           const trace::MetricsRegistry& registry);
+
+/// The same rows at `threads` from a sweep's per-iteration samples, as CSV
+/// with header
+/// `layer,phase,mean_us,min_us,max_us,stddev_us,p50_us,total_us,count,share`.
+std::string LayerTimeCsv(const ThreadSweep& sweep, int threads);
 
 }  // namespace cgdnn

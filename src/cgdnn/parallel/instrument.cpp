@@ -1,44 +1,59 @@
 #include "cgdnn/parallel/instrument.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "cgdnn/trace/counters.hpp"
 #include "cgdnn/trace/metrics.hpp"
 
 namespace cgdnn::parallel {
 
-RegionStats::RegionStats(std::string name, int nthreads)
-    : name_(std::move(name)), nthreads_(nthreads) {
-  // The flight recorder tracks every region — even with tracing/metrics
-  // off — so crash dumps and the watchdog can name the region in flight.
-  blackbox::PushPosition(blackbox::EventKind::kRegionBegin, name_.c_str(),
-                         static_cast<std::uint64_t>(nthreads));
-  if (check::Enabled()) {
-    checker_ = std::make_unique<check::WriteSetChecker>(name_, nthreads);
-    checker_binding_ =
-        std::make_unique<check::CurrentRegionBinding>(checker_.get());
-  }
-  if (!trace::CollectionActive()) return;
-  active_ = true;
-  const auto slots = static_cast<std::size_t>(std::max(nthreads, 1));
-  busy_ns_.assign(slots, 0);
-  counters_active_ = perfctr::CollectionActive();
-  if (counters_active_) deltas_.assign(slots, perfctr::Delta{});
+namespace {
+thread_local LayerPhaseScope* t_current = nullptr;
+}  // namespace
+
+const char* LayerPhaseName(LayerPhase phase) {
+  return phase == LayerPhase::kForward ? "forward" : "backward";
 }
 
-void RegionStats::AddThreadBusyNs(int tid, std::uint64_t busy_ns) {
+std::string LayerPhaseKey(const std::string& layer, LayerPhase phase) {
+  return layer + "." + LayerPhaseName(phase);
+}
+
+LayerPhaseScope::LayerPhaseScope(const char* name, LayerPhase phase)
+    : name_(name), phase_(phase), saved_(t_current) {
+  t_current = this;
+  blackbox::PushPosition(blackbox::EventKind::kLayerBegin, name_,
+                         static_cast<std::uint64_t>(phase_));
+  if (!trace::CollectionActive()) return;
+  active_ = true;
+  counters_active_ = perfctr::CollectionActive();
+  if (counters_active_) start_sample_ = perfctr::ReadThreadCounters();
+  start_ns_ = trace::NowNs();
+}
+
+LayerPhaseScope* LayerPhaseScope::Current() { return t_current; }
+
+void LayerPhaseScope::BeginTeam(int nthreads) {
+  if (!active_) return;
+  const auto slots = static_cast<std::size_t>(std::max(nthreads, 1));
+  if (busy_ns_.size() < slots) busy_ns_.resize(slots, 0);
+  if (counters_active_ && deltas_.size() < slots) deltas_.resize(slots);
+}
+
+void LayerPhaseScope::AddThreadBusyNs(int tid, std::uint64_t busy_ns) {
   if (tid >= 0 && static_cast<std::size_t>(tid) < busy_ns_.size()) {
     busy_ns_[static_cast<std::size_t>(tid)] += busy_ns;
   }
 }
 
-void RegionStats::AddThreadDelta(int tid, const perfctr::Delta& delta) {
+void LayerPhaseScope::AddThreadDelta(int tid, const perfctr::Delta& delta) {
   if (tid >= 0 && static_cast<std::size_t>(tid) < deltas_.size()) {
     deltas_[static_cast<std::size_t>(tid)].Accumulate(delta);
   }
 }
 
-double RegionStats::ImbalanceRatio() const {
+double LayerPhaseScope::ImbalanceRatio() const {
   std::uint64_t max_ns = 0, total_ns = 0;
   std::size_t busy_threads = 0;
   for (const std::uint64_t ns : busy_ns_) {
@@ -53,7 +68,7 @@ double RegionStats::ImbalanceRatio() const {
   return static_cast<double>(max_ns) / mean;
 }
 
-int RegionStats::StragglerTid() const {
+int LayerPhaseScope::StragglerTid() const {
   std::uint64_t max_ns = 0;
   int straggler = -1;
   for (std::size_t tid = 0; tid < busy_ns_.size(); ++tid) {
@@ -65,36 +80,41 @@ int RegionStats::StragglerTid() const {
   return straggler;
 }
 
-perfctr::Delta RegionStats::TotalDelta() const {
-  perfctr::Delta total;
-  for (const perfctr::Delta& d : deltas_) total.Accumulate(d);
-  return total;
-}
-
-RegionStats::~RegionStats() noexcept(false) {
-  // Pop before Verify: a partition violation throws, and the recorder's
-  // position stack must stay balanced through that unwind.
-  blackbox::PopPosition(blackbox::EventKind::kRegionEnd, name_.c_str(),
-                        static_cast<std::uint64_t>(nthreads_));
-  // Unbind before Verify so a throwing verification never leaves a dangling
-  // Current() pointer. Verify() is called explicitly (it may throw;
-  // ~unique_ptr is noexcept) — the member destructor then finds it already
-  // verified and stays silent.
-  checker_binding_.reset();
-  if (checker_) checker_->Verify();
-  if (!active_ || !trace::MetricsActive()) return;
-  auto& registry = trace::MetricsRegistry::Default();
-  const double ratio = ImbalanceRatio();
-  if (ratio > 0.0) {
-    registry.GetHistogram("region." + name_ + ".imbalance").Observe(ratio);
-    registry.GetGauge("region." + name_ + ".imbalance_last").Set(ratio);
-    registry.GetGauge("region." + name_ + ".straggler_tid")
-        .Set(static_cast<double>(StragglerTid()));
+LayerPhaseScope::~LayerPhaseScope() {
+  t_current = saved_;
+  if (active_) {
+    const std::uint64_t end_ns = trace::NowNs();
+    // The opening thread is the team's tid 0: its counters are sampled over
+    // the whole phase here, so its chunk deltas (slot 0) are not re-added.
+    perfctr::Delta own;
+    if (start_sample_.valid) {
+      own = perfctr::ComputeDelta(start_sample_,
+                                  perfctr::ReadThreadCounters());
+    }
+    if (trace::TracingActive()) {
+      trace::Tracer::Get().Emit("layer", name_, start_ns_, end_ns,
+                                trace::CounterTraceArgs(own));
+    }
+    if (trace::MetricsActive()) {
+      auto& registry = trace::MetricsRegistry::Default();
+      const std::string prefix = std::string("layer.") + name_;
+      registry.GetHistogram(prefix + ".us")
+          .Observe(static_cast<double>(end_ns - start_ns_) / 1e3);
+      const double ratio = ImbalanceRatio();
+      if (ratio > 0.0) {
+        registry.GetHistogram(prefix + ".imbalance").Observe(ratio);
+        registry.GetGauge(prefix + ".imbalance_last").Set(ratio);
+        registry.GetGauge(prefix + ".straggler_tid")
+            .Set(static_cast<double>(StragglerTid()));
+      }
+      for (std::size_t tid = 1; tid < deltas_.size(); ++tid) {
+        own.Accumulate(deltas_[tid]);
+      }
+      trace::RecordCounterDeltaMetrics(prefix, own, registry);
+    }
   }
-  if (counters_active_) {
-    trace::RecordCounterDeltaMetrics("region." + name_, TotalDelta(),
-                                     registry);
-  }
+  blackbox::PopPosition(blackbox::EventKind::kLayerEnd, name_,
+                        static_cast<std::uint64_t>(phase_));
 }
 
 }  // namespace cgdnn::parallel

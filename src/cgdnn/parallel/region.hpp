@@ -1,16 +1,19 @@
 // The one parallel-region helper every layer loop goes through (the
 // coarse-grain transformation of Algorithms 4/5, applied uniformly).
 //
-// A layer hands the helper a region name ("<layer>.forward"), an iteration
-// count and a body; the helper owns everything else the paper's
-// transformation needs:
+// A layer hands the helper an iteration count and a body; the helper owns
+// everything else the paper's transformation needs:
 //
 //   * the team size (Parallel::ResolveThreads) and the static partition —
 //     thread `tid` runs the body once over StaticChunk(total, team, tid),
 //     the exact iterations `#pragma omp for schedule(static)` would give it,
 //     so sample-to-thread mapping and every private chunk sum are fixed;
-//   * observability: RegionStats + ThreadRegionScope (trace span per
-//     thread, imbalance metric, flight-recorder position, write-phase end);
+//   * observability: the region reports into the layer phase open on the
+//     calling thread (LayerPhaseScope::Current(), opened by
+//     Layer::Forward/Backward), which also names it; each thread's chunk is
+//     a ThreadRegionScope (trace span, busy time for the phase's imbalance
+//     metric, flight-recorder position, write-phase end). A helper call
+//     with no open phase throws cgdnn::Error;
 //   * the write-set check: writes the body declares with Chunk::Wrote go to
 //     the armed checker (a null test otherwise);
 //   * for ForEachChunkPrivate, per-thread scratch and zero-filled private
@@ -25,8 +28,7 @@
 // decode, or pass num and loop over channels inside the body.
 //
 // Usage (layer code):
-//   parallel::ForEachChunk(name + ".forward", num_,
-//                          [&](const parallel::Chunk& c) {
+//   parallel::ForEachChunk(num_, [&](const parallel::Chunk& c) {
 //     for (index_t n = c.begin; n < c.end; ++n) ForwardSample(n);
 //     c.Wrote(top_data, "top.data", c.begin * dim, c.end * dim);
 //   });
@@ -38,6 +40,8 @@
 #include <array>
 #include <exception>
 #include <initializer_list>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -100,17 +104,19 @@ inline std::exception_ptr FirstError(
 
 /// Serial, after the join: rethrows a captured body exception as a
 /// cgdnn::Error (an Error passes through unchanged).
-[[noreturn]] inline void RethrowAsError(const std::string& region,
+[[noreturn]] inline void RethrowAsError(const char* region,
                                         const std::exception_ptr& error) {
   try {
     std::rethrow_exception(error);
   } catch (const Error&) {
     throw;
   } catch (const std::exception& e) {
-    throw Error(__FILE__, __LINE__, "in region " + region + ": " + e.what());
+    throw Error(__FILE__, __LINE__,
+                std::string("in region ") + region + ": " + e.what());
   } catch (...) {
     throw Error(__FILE__, __LINE__,
-                "in region " + region + ": non-standard exception");
+                std::string("in region ") + region +
+                    ": non-standard exception");
   }
 }
 
@@ -126,10 +132,14 @@ inline std::exception_ptr FirstError(
 /// region touches no pool and has no barrier: the join is the only
 /// synchronization.
 template <typename Dtype, typename Body>
-void ForEachChunkPrivate(const std::string& name, index_t total,
-                         index_t scratch_count,
+void ForEachChunkPrivate(index_t total, index_t scratch_count,
                          std::initializer_list<PrivateSum<Dtype>> sums,
                          Body&& body) {
+  LayerPhaseScope* phase = LayerPhaseScope::Current();
+  CGDNN_CHECK(phase != nullptr)
+      << "parallel region outside a layer phase: open a "
+         "parallel::LayerPhaseScope (Layer::Forward/Backward do)";
+  const char* name = phase->name();
   constexpr std::size_t kMaxSums = 4;
   CGDNN_CHECK_LE(sums.size(), kMaxSums);
   std::array<PrivateSum<Dtype>, kMaxSums> red{};
@@ -155,45 +165,55 @@ void ForEachChunkPrivate(const std::string& name, index_t total,
     if (red[k].dest != nullptr) parts[k].assign(slots, nullptr);
   }
   std::vector<std::exception_ptr> errors(slots);
-  {
-    RegionStats rstats(name, nthreads);
+  phase->BeginTeam(nthreads);
+  // The write-set checker is armed per region: two regions of one phase
+  // may legitimately write the same elements.
+  std::unique_ptr<check::WriteSetChecker> checker;
+  std::optional<check::CurrentRegionBinding> binding;
+  if (check::Enabled()) {
+    checker = std::make_unique<check::WriteSetChecker>(name, nthreads);
+    binding.emplace(checker.get());
+  }
 #pragma omp parallel num_threads(nthreads)
-    {
-      const int tid = omp_get_thread_num();
-      const int team = omp_get_num_threads();
-      const auto t = static_cast<std::size_t>(tid);
-      try {
-        Dtype* scratch = scratch_count > 0
-                             ? pool.Acquire<Dtype>(tid, scratch_count)
-                             : nullptr;
-        std::array<Dtype*, kMaxSums> priv{};
+  {
+    const int tid = omp_get_thread_num();
+    const int team = omp_get_num_threads();
+    const auto t = static_cast<std::size_t>(tid);
+    try {
+      Dtype* scratch = scratch_count > 0
+                           ? pool.Acquire<Dtype>(tid, scratch_count)
+                           : nullptr;
+      std::array<Dtype*, kMaxSums> priv{};
+      for (std::size_t k = 0; k < kMaxSums; ++k) {
+        if (red[k].dest == nullptr) continue;
+        // Object privatization: zero is the reduction's neuter value.
+        priv[k] = pool.Acquire<Dtype>(tid, red[k].count);
+        std::fill_n(priv[k], red[k].count, Dtype(0));
+        parts[k][t] = priv[k];
+      }
+      const IterRange r = StaticChunk(total, team, tid);
+      const Chunk chunk{tid, team, r.begin, r.end, checker.get()};
+      ThreadRegionScope scope(*phase, checker.get(), tid);
+      body(chunk, scratch, priv.data());
+    } catch (...) {
+      errors[t] = std::current_exception();
+    }
+    if (merging) {
+      // Every private sum is complete and visible past this point.
+#pragma omp barrier
+      if (!detail::FirstError(errors)) {
         for (std::size_t k = 0; k < kMaxSums; ++k) {
           if (red[k].dest == nullptr) continue;
-          // Object privatization: zero is the reduction's neuter value.
-          priv[k] = pool.Acquire<Dtype>(tid, red[k].count);
-          std::fill_n(priv[k], red[k].count, Dtype(0));
-          parts[k][t] = priv[k];
-        }
-        const IterRange r = StaticChunk(total, team, tid);
-        const Chunk chunk{tid, team, r.begin, r.end, rstats.checker()};
-        ThreadRegionScope scope(rstats, tid);
-        body(chunk, scratch, priv.data());
-      } catch (...) {
-        errors[t] = std::current_exception();
-      }
-      if (merging) {
-        // Every private sum is complete and visible past this point.
-#pragma omp barrier
-        if (!detail::FirstError(errors)) {
-          for (std::size_t k = 0; k < kMaxSums; ++k) {
-            if (red[k].dest == nullptr) continue;
-            AccumulatePrivate(merge, parts[k].data(), team, red[k].dest,
-                              red[k].count);
-          }
+          AccumulatePrivate(merge, parts[k].data(), team, red[k].dest,
+                            red[k].count);
         }
       }
     }
-  }  // ~RegionStats: metrics + write-set verification, before any rethrow
+  }
+  // Unbind, then verify the write sets (that may throw) before any body
+  // rethrow.
+  binding.reset();
+  if (checker) checker->Verify();
   if (std::exception_ptr e = detail::FirstError(errors)) {
     detail::RethrowAsError(name, e);
   }
@@ -202,10 +222,10 @@ void ForEachChunkPrivate(const std::string& name, index_t total,
 /// The plain form: body(const Chunk&) over StaticChunk(total, team, tid),
 /// nothing privatized.
 template <typename Body>
-void ForEachChunk(const std::string& name, index_t total, Body&& body) {
+void ForEachChunk(index_t total, Body&& body) {
   // Nothing is privatized, so the element type is immaterial.
   ForEachChunkPrivate<float>(
-      name, total, 0, {},
+      total, 0, {},
       [&](const Chunk& c, float* /*scratch*/, float* const* /*priv*/) {
         body(c);
       });
@@ -215,9 +235,9 @@ void ForEachChunk(const std::string& name, index_t total, Body&& body) {
 /// into one loop): fn(i) for every i in [0, count), each chunk declaring
 /// its contiguous writes [begin, end) to `written`.
 template <typename Fn>
-void ForEachElement(const std::string& name, index_t count,
-                    const void* written, const char* blob, Fn&& fn) {
-  ForEachChunk(name, count, [&](const Chunk& c) {
+void ForEachElement(index_t count, const void* written, const char* blob,
+                    Fn&& fn) {
+  ForEachChunk(count, [&](const Chunk& c) {
     for (index_t i = c.begin; i < c.end; ++i) fn(i);
     c.Wrote(written, blob, c.begin, c.end);
   });

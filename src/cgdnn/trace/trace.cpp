@@ -184,12 +184,10 @@ void Tracer::WriteChromeTrace(std::ostream& os) const {
         "\"args\":{\"meta\":";
   buildinfo::WriteMetaJson(os);
   os << "}}";
-  bool first = false;
+  // Every event follows the metadata event, so each one opens with a comma.
   for (const ThreadLog* log : logs_) {
     for (const TraceEvent& ev : log->events) {
-      if (!first) os << ",";
-      first = false;
-      os << "\n{\"name\":";
+      os << ",\n{\"name\":";
       WriteJsonString(os, ev.name);
       os << ",\"cat\":\"" << ev.category << "\",\"ph\":\"" << ev.phase
          << "\",\"ts\":" << static_cast<double>(ev.start_ns) / 1e3;

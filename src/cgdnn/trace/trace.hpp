@@ -129,13 +129,15 @@ class Tracer {
 /// at destruction. No-op (one atomic load) while tracing is inactive. When
 /// hardware-counter collection is armed (perfctr::SetActive), the span also
 /// samples the calling thread's counter group at both ends and attaches the
-/// multiplex-scaled deltas as Chrome-trace args.
+/// multiplex-scaled deltas as Chrome-trace args. `name` must outlive the
+/// span (a literal or a string the caller owns): no string is copied while
+/// tracing is off.
 class ScopedSpan {
  public:
-  ScopedSpan(const char* category, std::string name) : name_(std::move(name)) {
+  ScopedSpan(const char* category, const char* name) : name_(name) {
     // The flight recorder sees every span — even with tracing off — so a
     // crash dump can show what each thread was inside when it died.
-    blackbox::Record(blackbox::EventKind::kSpanBegin, name_.c_str());
+    blackbox::Record(blackbox::EventKind::kSpanBegin, name_);
     if (!TracingActive()) return;
     active_ = true;
     category_ = category;
@@ -145,16 +147,16 @@ class ScopedSpan {
     start_ns_ = NowNs();
   }
   ~ScopedSpan() {
-    blackbox::Record(blackbox::EventKind::kSpanEnd, name_.c_str());
+    blackbox::Record(blackbox::EventKind::kSpanEnd, name_);
     if (!active_) return;
     const std::uint64_t end_ns = NowNs();
     if (start_sample_.valid) {
       Tracer::Get().Emit(
-          category_, std::move(name_), start_ns_, end_ns,
+          category_, name_, start_ns_, end_ns,
           CounterTraceArgs(perfctr::ComputeDelta(
               start_sample_, perfctr::ReadThreadCounters())));
     } else {
-      Tracer::Get().Emit(category_, std::move(name_), start_ns_, end_ns);
+      Tracer::Get().Emit(category_, name_, start_ns_, end_ns);
     }
   }
   ScopedSpan(const ScopedSpan&) = delete;
@@ -163,7 +165,7 @@ class ScopedSpan {
  private:
   bool active_ = false;
   const char* category_ = nullptr;
-  std::string name_;
+  const char* name_;
   std::uint64_t start_ns_ = 0;
   perfctr::Sample start_sample_;
 };

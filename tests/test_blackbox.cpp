@@ -23,6 +23,7 @@
 #include <unistd.h>
 
 #include "cgdnn/blackbox/dump_format.hpp"
+#include "cgdnn/parallel/region.hpp"
 
 namespace cgdnn::blackbox {
 namespace {
@@ -369,6 +370,54 @@ TEST_F(BlackboxTest, WatchdogIgnoresActiveLongRegion) {
   StopWatchdog();
   EXPECT_EQ(0, g_stall_trips.load())
       << "tripped on " << g_stall_site << " despite steady progress";
+}
+
+// One parallel layer phase is one position pair on the opening thread with
+// each team thread's chunk pair nested inside it — no second region or span
+// pair for the same phase.
+TEST_F(BlackboxTest, LayerPhaseNestsOneChunkPairPerTeamThread) {
+  constexpr int kTeam = 4;
+  parallel::ParallelConfig cfg;
+  cfg.mode = parallel::ExecutionMode::kCoarseGrain;
+  cfg.num_threads = kTeam;
+  parallel::Parallel::Scope scope(cfg);
+  std::vector<float> y(64, 0.0f);
+  {
+    parallel::LayerPhaseScope phase("nest.forward",
+                                    parallel::LayerPhase::kForward);
+    parallel::ForEachChunk(64, [&](const parallel::Chunk& c) {
+      for (index_t i = c.begin; i < c.end; ++i) {
+        y[static_cast<std::size_t>(i)] = 1.0f;
+      }
+    });
+  }
+  ASSERT_TRUE(DumpNow(DumpReason::kManual));
+
+  const ReadDump dump = ReadDumpFile(dump_path_);
+  const std::vector<EventKind> opening = {
+      EventKind::kLayerBegin, EventKind::kChunkBegin, EventKind::kChunkEnd,
+      EventKind::kLayerEnd};
+  const std::vector<EventKind> worker = {EventKind::kChunkBegin,
+                                         EventKind::kChunkEnd};
+  int opening_rings = 0;
+  int worker_rings = 0;
+  for (const ReadThread& t : dump.threads) {
+    std::vector<EventKind> kinds;
+    for (const EventRecord& ev : t.events) {
+      EXPECT_EQ(dump.names[EventNameOf(ev.packed)], "nest.forward");
+      kinds.push_back(static_cast<EventKind>(EventKindOf(ev.packed)));
+    }
+    if (kinds.empty()) continue;
+    if (kinds.front() == EventKind::kLayerBegin) {
+      ++opening_rings;
+      EXPECT_EQ(kinds, opening);
+    } else {
+      ++worker_rings;
+      EXPECT_EQ(kinds, worker);
+    }
+  }
+  EXPECT_EQ(opening_rings, 1);
+  EXPECT_EQ(worker_rings, kTeam - 1);
 }
 
 TEST_F(BlackboxTest, MultiThreadedRecordingKeepsRingsSeparate) {

@@ -15,7 +15,7 @@
 #include "cgdnn/net/models.hpp"
 #include "cgdnn/net/net.hpp"
 #include "cgdnn/parallel/context.hpp"
-#include "cgdnn/parallel/instrument.hpp"
+#include "cgdnn/parallel/region.hpp"
 
 namespace cgdnn {
 namespace {
@@ -121,38 +121,51 @@ TEST(WriteSetCheckerTest, MergeAfterBarrierPasses) {
   EXPECT_NO_THROW(chk.Verify());
 }
 
-TEST(WriteSetCheckerTest, RegionStatsGatesOnEnable) {
-  {
-    ScopedEnable off(false);
-    parallel::RegionStats rstats("gated.region", 2);
-    EXPECT_EQ(rstats.checker(), nullptr);
+// The region helper arms one checker per region, only while checking is
+// enabled, and exposes it to the merge kernels as the current region.
+TEST(WriteSetCheckerTest, RegionHelperGatesOnEnable) {
+  parallel::ParallelConfig cfg;
+  cfg.mode = parallel::ExecutionMode::kCoarseGrain;
+  cfg.num_threads = 2;
+  parallel::Parallel::Scope scope(cfg);
+  parallel::LayerPhaseScope phase("gated.region",
+                                  parallel::LayerPhase::kForward);
+  for (const bool enabled : {false, true}) {
+    ScopedEnable armed(enabled);
+    WriteSetChecker* seen[2] = {nullptr, nullptr};
+    WriteSetChecker* current[2] = {nullptr, nullptr};
+    parallel::ForEachChunk(2, [&](const parallel::Chunk& c) {
+      seen[c.tid] = c.checker;
+      // The merge kernels reach the checker through the process-wide
+      // current-region pointer.
+      current[c.tid] = WriteSetChecker::Current();
+    });
+    for (int tid = 0; tid < 2; ++tid) {
+      EXPECT_EQ(seen[tid] != nullptr, enabled) << "tid " << tid;
+      EXPECT_EQ(current[tid], seen[tid]) << "tid " << tid;
+    }
     EXPECT_EQ(WriteSetChecker::Current(), nullptr);
   }
-  {
-    ScopedEnable on(true);
-    parallel::RegionStats rstats("gated.region", 2);
-    ASSERT_NE(rstats.checker(), nullptr);
-    // The merge kernels reach the checker through the process-wide
-    // current-region pointer.
-    EXPECT_EQ(WriteSetChecker::Current(), rstats.checker());
-  }
-  EXPECT_EQ(WriteSetChecker::Current(), nullptr);
 }
 
-TEST(WriteSetCheckerTest, RegionStatsVerifiesAtRegionEnd) {
+TEST(WriteSetCheckerTest, RegionHelperVerifiesAtRegionEnd) {
   ScopedEnable on(true);
-  EXPECT_THROW(
-      {
-        parallel::RegionStats rstats("injected.region", 2);
-        ASSERT_NE(rstats.checker(), nullptr);
-        rstats.checker()->RecordWrite(0, buffer_a, "top.data", 0, 12);
-        rstats.checker()->RecordWrite(1, buffer_a, "top.data", 8, 20);
-        rstats.checker()->EndWritePhase(0);
-        rstats.checker()->EndWritePhase(1);
-        // The overlap must surface when the region joins (~RegionStats),
-        // without any explicit Verify() call at the use site.
-      },
-      Error);
+  parallel::ParallelConfig cfg;
+  cfg.mode = parallel::ExecutionMode::kCoarseGrain;
+  cfg.num_threads = 2;
+  parallel::Parallel::Scope scope(cfg);
+  parallel::LayerPhaseScope phase("injected.region",
+                                  parallel::LayerPhase::kForward);
+  // Overlapping declarations must surface when the region joins, without
+  // any explicit Verify() call at the use site.
+  EXPECT_THROW(parallel::ForEachChunk(2,
+                                      [&](const parallel::Chunk& c) {
+                                        const index_t lo = c.tid == 0 ? 0 : 8;
+                                        c.Wrote(buffer_a, "top.data", lo,
+                                                lo + 12);
+                                      }),
+               Error);
+  EXPECT_EQ(WriteSetChecker::Current(), nullptr);
 }
 
 // Full-model sweep: both builtin networks must run forward/backward under

@@ -175,18 +175,21 @@ TEST_F(PerfctrTest, MetricsOmitCounterFieldsWhenUnavailable) {
   auto& registry = trace::MetricsRegistry::Default();
   registry.Reset();
   {
-    parallel::RegionStats rs("fbtest.forward", 2);
-    EXPECT_TRUE(rs.active());
-    EXPECT_FALSE(rs.counters_active());
-    rs.AddThreadBusyNs(0, 1000);
-    rs.AddThreadBusyNs(1, 3000);
+    parallel::LayerPhaseScope phase("fbtest.forward",
+                                    parallel::LayerPhase::kForward);
+    EXPECT_TRUE(phase.active());
+    EXPECT_FALSE(phase.counters_active());
+    phase.BeginTeam(2);
+    phase.AddThreadBusyNs(0, 1000);
+    phase.AddThreadBusyNs(1, 3000);
   }
   // Timing-derived metrics still land ...
-  EXPECT_NE(registry.FindGauge("region.fbtest.forward.imbalance_last"),
+  EXPECT_NE(registry.FindHistogram("layer.fbtest.forward.us"), nullptr);
+  EXPECT_NE(registry.FindGauge("layer.fbtest.forward.imbalance_last"),
             nullptr);
   // ... but counter-derived keys are absent, not zeroed.
-  EXPECT_EQ(registry.FindCounter("region.fbtest.forward.cycles"), nullptr);
-  EXPECT_EQ(registry.FindGauge("region.fbtest.forward.ipc_last"), nullptr);
+  EXPECT_EQ(registry.FindCounter("layer.fbtest.forward.cycles"), nullptr);
+  EXPECT_EQ(registry.FindGauge("layer.fbtest.forward.ipc_last"), nullptr);
 }
 
 TEST_F(PerfctrTest, TraceOmitsCounterArgsWhenUnavailable) {
@@ -196,8 +199,10 @@ TEST_F(PerfctrTest, TraceOmitsCounterArgsWhenUnavailable) {
   trace::Tracer::Get().Clear();
   trace::Tracer::Get().Start();
   {
-    parallel::RegionStats rs("fbtrace.forward", 1);
-    parallel::ThreadRegionScope scope(rs, 0);
+    parallel::LayerPhaseScope phase("fbtrace.forward",
+                                    parallel::LayerPhase::kForward);
+    phase.BeginTeam(1);
+    parallel::ThreadRegionScope scope(phase, nullptr, 0);
   }
   trace::Tracer::Get().Stop();
   std::ostringstream out;
@@ -239,10 +244,11 @@ TEST_F(PerfctrTest, RecordCounterDeltaMetricsWritesPresentEventsOnly) {
 
 // ----- imbalance attribution ----------------------------------------------
 
-TEST_F(PerfctrTest, RegionStatsAttributesStraggler) {
+TEST_F(PerfctrTest, LayerPhaseAttributesStraggler) {
   trace::SetMetrics(true);
-  parallel::RegionStats rs("skew.forward", 4);
+  parallel::LayerPhaseScope rs("skew.forward", parallel::LayerPhase::kForward);
   ASSERT_TRUE(rs.active());
+  rs.BeginTeam(4);
   rs.AddThreadBusyNs(0, 100);
   rs.AddThreadBusyNs(1, 100);
   rs.AddThreadBusyNs(2, 100);
@@ -252,16 +258,19 @@ TEST_F(PerfctrTest, RegionStatsAttributesStraggler) {
   EXPECT_EQ(rs.StragglerTid(), 3);
 }
 
-TEST_F(PerfctrTest, RegionStatsBalancedRegionReportsUnity) {
+TEST_F(PerfctrTest, LayerPhaseBalancedTeamReportsUnity) {
   trace::SetMetrics(true);
-  parallel::RegionStats rs("flat.forward", 3);
+  parallel::LayerPhaseScope rs("flat.forward", parallel::LayerPhase::kForward);
+  rs.BeginTeam(3);
   for (int tid = 0; tid < 3; ++tid) rs.AddThreadBusyNs(tid, 500);
   EXPECT_DOUBLE_EQ(rs.ImbalanceRatio(), 1.0);
 }
 
-TEST_F(PerfctrTest, RegionStatsIgnoresIdleThreads) {
+TEST_F(PerfctrTest, LayerPhaseIgnoresIdleThreads) {
   trace::SetMetrics(true);
-  parallel::RegionStats rs("partial.forward", 4);
+  parallel::LayerPhaseScope rs("partial.forward",
+                               parallel::LayerPhase::kForward);
+  rs.BeginTeam(4);
   // Only two threads did work; idle slots must not drag the mean down.
   rs.AddThreadBusyNs(0, 300);
   rs.AddThreadBusyNs(2, 100);

@@ -1,8 +1,8 @@
 // The parallel-region helper (parallel/region.hpp): the static partition it
 // hands out, exception capture (a throwing body surfaces as cgdnn::Error at
 // the caller, never std::terminate, and leaves the next region healthy), the
-// merge it skips after a throw, and an armed write-set sweep over every
-// layer type that parallelizes through it.
+// merge it skips after a throw, the layer phase it reports into, and an
+// armed write-set sweep over every layer type that parallelizes through it.
 #include "cgdnn/parallel/region.hpp"
 
 #include <gtest/gtest.h>
@@ -34,12 +34,21 @@ ParallelConfig Threads(int threads) {
 
 const int kThreadCounts[] = {1, 2, 5, 8};
 
+TEST(ParallelRegion, RequiresAnOpenLayerPhase) {
+  ASSERT_EQ(LayerPhaseScope::Current(), nullptr);
+  Parallel::Scope scope(Threads(2));
+  std::atomic<int> bodies{0};
+  EXPECT_THROW(ForEachChunk(8, [&](const Chunk&) { ++bodies; }), Error);
+  EXPECT_EQ(bodies.load(), 0);
+}
+
 TEST(ParallelRegion, ChunksTileTheRangeAsStaticChunk) {
   for (const int threads : kThreadCounts) {
     Parallel::Scope scope(Threads(threads));
+    LayerPhaseScope phase("tile.region", LayerPhase::kForward);
     for (const index_t total : {0, 1, 7, 64, 101}) {
       std::vector<Chunk> seen(static_cast<std::size_t>(threads));
-      ForEachChunk("tile.region", total, [&](const Chunk& c) {
+      ForEachChunk(total, [&](const Chunk& c) {
         seen[static_cast<std::size_t>(c.tid)] = c;
       });
       index_t next = 0;
@@ -62,16 +71,20 @@ TEST(ParallelRegion, PlainBodyExceptionSurfacesAsError) {
   for (const int threads : kThreadCounts) {
     Parallel::Scope scope(Threads(threads));
     const int thrower = threads - 1;
-    EXPECT_THROW(ForEachChunk("throw.region", 40,
-                              [&](const Chunk& c) {
-                                CGDNN_CHECK(c.tid != thrower)
-                                    << "injected failure";
-                              }),
-                 Error)
-        << "T=" << threads;
-    // A non-cgdnn exception is rethrown as a cgdnn::Error naming the region.
+    {
+      LayerPhaseScope phase("throw.region", LayerPhase::kForward);
+      EXPECT_THROW(ForEachChunk(40,
+                                [&](const Chunk& c) {
+                                  CGDNN_CHECK(c.tid != thrower)
+                                      << "injected failure";
+                                }),
+                   Error)
+          << "T=" << threads;
+    }
+    // A non-cgdnn exception is rethrown as a cgdnn::Error naming the phase.
+    LayerPhaseScope phase("foreign.region", LayerPhase::kForward);
     try {
-      ForEachChunk("foreign.region", 40, [&](const Chunk& c) {
+      ForEachChunk(40, [&](const Chunk& c) {
         if (c.tid == thrower) throw std::runtime_error("foreign failure");
       });
       ADD_FAILURE() << "no exception at T=" << threads;
@@ -87,8 +100,9 @@ TEST(ParallelRegion, PlainBodyExceptionSurfacesAsError) {
 TEST(ParallelRegion, LowestThreadIdExceptionWins) {
   for (const int threads : kThreadCounts) {
     Parallel::Scope scope(Threads(threads));
+    LayerPhaseScope phase("many.region", LayerPhase::kForward);
     try {
-      ForEachChunk("many.region", 40, [&](const Chunk& c) {
+      ForEachChunk(40, [&](const Chunk& c) {
         throw Error(__FILE__, __LINE__, "tid " + std::to_string(c.tid));
       });
       ADD_FAILURE() << "no exception at T=" << threads;
@@ -102,8 +116,9 @@ TEST(ParallelRegion, LowestThreadIdExceptionWins) {
 // Sums 1 per item into dest[k] for every k through the privatized form;
 // `thrower` (if >= 0) throws before touching its private sum.
 void CountItems(index_t total, std::vector<double>& dest, int thrower) {
+  LayerPhaseScope phase("private.region", LayerPhase::kBackward);
   ForEachChunkPrivate<double>(
-      "private.region", total, 3,
+      total, 3,
       {{dest.data(), static_cast<index_t>(dest.size())}, {nullptr, 9}},
       [&](const Chunk& c, double* scratch, double* const* priv) {
         ASSERT_NE(scratch, nullptr);
@@ -135,10 +150,11 @@ TEST(ParallelRegion, SerialMergeRejectedBeforeTheRegionOpens) {
   ParallelConfig cfg = Threads(4);
   cfg.merge = GradientMerge::kSerial;
   Parallel::Scope scope(cfg);
+  LayerPhaseScope phase("serial.region", LayerPhase::kBackward);
   std::atomic<int> bodies{0};
   std::vector<float> dest(3, 0.0f);
   EXPECT_THROW(ForEachChunkPrivate<float>(
-                   "serial.region", 8, 0, {{dest.data(), 3}},
+                   8, 0, {{dest.data(), 3}},
                    [&](const Chunk&, float*, float* const*) { ++bodies; }),
                Error);
   EXPECT_EQ(bodies.load(), 0);
@@ -147,8 +163,9 @@ TEST(ParallelRegion, SerialMergeRejectedBeforeTheRegionOpens) {
 TEST(ParallelRegion, ArmedCheckerDoesNotMaskBodyException) {
   check::ScopedEnable armed(true);
   Parallel::Scope scope(Threads(5));
+  LayerPhaseScope phase("armed.region", LayerPhase::kForward);
   std::vector<float> y(50, 0.0f);
-  EXPECT_THROW(ForEachChunk("armed.region", 50,
+  EXPECT_THROW(ForEachChunk(50,
                             [&](const Chunk& c) {
                               for (index_t i = c.begin; i < c.end; ++i) {
                                 y[static_cast<std::size_t>(i)] = 1.0f;
@@ -168,15 +185,18 @@ TEST(ParallelRegion, ThrowingRegionsLeaveNoOpenBlackboxPosition) {
   if (!blackbox::Enabled()) GTEST_SKIP() << "flight recorder disabled";
   for (const int threads : kThreadCounts) {
     Parallel::Scope scope(Threads(threads));
-    EXPECT_THROW(ForEachChunk("bb.region", 16,
-                              [](const Chunk& c) {
-                                CGDNN_CHECK(c.tid != 0) << "injected";
-                              }),
-                 Error);
+    {
+      LayerPhaseScope phase("bb.region", LayerPhase::kForward);
+      EXPECT_THROW(ForEachChunk(16,
+                                [](const Chunk& c) {
+                                  CGDNN_CHECK(c.tid != 0) << "injected";
+                                }),
+                   Error);
+    }
     std::vector<double> dest(2, 0.0);
     EXPECT_THROW(CountItems(16, dest, 0), Error);
   }
-  // Any region/chunk/merge position left open by the unwinding would now
+  // Any phase/chunk/merge position left open by the unwinding would now
   // be older than the deadline and trip the watchdog.
   g_stalls = 0;
   blackbox::WatchdogOptions options;

@@ -15,9 +15,12 @@
 #include <vector>
 
 #include "cgdnn/blas/blas.hpp"
+#include "cgdnn/core/rng.hpp"
+#include "cgdnn/net/models.hpp"
+#include "cgdnn/net/net.hpp"
 #include "cgdnn/parallel/context.hpp"
-#include "cgdnn/parallel/instrument.hpp"
 #include "cgdnn/parallel/merge.hpp"
+#include "cgdnn/parallel/region.hpp"
 #include "cgdnn/trace/metrics.hpp"
 #include "cgdnn/trace/telemetry.hpp"
 
@@ -289,7 +292,7 @@ TEST(MetricsRegistry, WritesValidJson) {
   MetricsRegistry reg;
   reg.GetCounter("merge.ordered.invocations").Add(7);
   reg.GetGauge("layer.conv1.forward.gflops").Set(12.25);
-  auto& h = reg.GetHistogram("region.conv1.forward.imbalance");
+  auto& h = reg.GetHistogram("layer.conv1.forward.imbalance");
   h.Observe(1.0);
   h.Observe(1.5);
   std::ostringstream os;
@@ -298,36 +301,166 @@ TEST(MetricsRegistry, WritesValidJson) {
   EXPECT_TRUE(JsonChecker::Valid(json)) << json;
   EXPECT_NE(json.find("merge.ordered.invocations"), std::string::npos);
   EXPECT_NE(json.find("layer.conv1.forward.gflops"), std::string::npos);
-  EXPECT_NE(json.find("region.conv1.forward.imbalance"), std::string::npos);
+  EXPECT_NE(json.find("layer.conv1.forward.imbalance"), std::string::npos);
   EXPECT_NE(json.find("\"count\""), std::string::npos);
 }
 
-TEST(RegionStats, ImbalanceRatioIsMaxOverMean) {
-  // RegionStats only collects while tracing or metrics are active.
+TEST(LayerPhaseScope, ImbalanceRatioIsMaxOverMean) {
+  // The phase scope only collects while tracing or metrics are active.
   MetricsRegistry::Default().Reset();
   SetMetrics(true);
   {
-    parallel::RegionStats stats("test.region", 4);
-    stats.AddThreadBusyNs(0, 1000);
-    stats.AddThreadBusyNs(1, 1000);
-    stats.AddThreadBusyNs(2, 1000);
-    stats.AddThreadBusyNs(3, 5000);
+    parallel::LayerPhaseScope phase("test.region",
+                                    parallel::LayerPhase::kForward);
+    phase.BeginTeam(4);
+    phase.AddThreadBusyNs(0, 1000);
+    phase.AddThreadBusyNs(1, 1000);
+    phase.AddThreadBusyNs(2, 1000);
+    phase.AddThreadBusyNs(3, 5000);
     // mean = 2000, max = 5000.
-    EXPECT_DOUBLE_EQ(stats.ImbalanceRatio(), 2.5);
+    EXPECT_DOUBLE_EQ(phase.ImbalanceRatio(), 2.5);
+    EXPECT_EQ(phase.StragglerTid(), 3);
   }
   SetMetrics(false);
   auto& reg = MetricsRegistry::Default();
-  EXPECT_EQ(reg.GetHistogram("region.test.region.imbalance").count(), 1u);
-  EXPECT_DOUBLE_EQ(reg.GetGauge("region.test.region.imbalance_last").value(),
+  EXPECT_EQ(reg.GetHistogram("layer.test.region.us").count(), 1u);
+  EXPECT_EQ(reg.GetHistogram("layer.test.region.imbalance").count(), 1u);
+  EXPECT_DOUBLE_EQ(reg.GetGauge("layer.test.region.imbalance_last").value(),
                    2.5);
+  EXPECT_DOUBLE_EQ(reg.GetGauge("layer.test.region.straggler_tid").value(),
+                   3.0);
 }
 
-TEST(RegionStats, InertWhenCollectionDisabled) {
+TEST(LayerPhaseScope, InertWhenCollectionDisabled) {
   ASSERT_FALSE(CollectionActive());
-  parallel::RegionStats stats("test.inert", 4);
-  EXPECT_FALSE(stats.active());
-  stats.AddThreadBusyNs(0, 1000);
-  EXPECT_DOUBLE_EQ(stats.ImbalanceRatio(), 0.0);
+  MetricsRegistry::Default().Reset();
+  {
+    parallel::LayerPhaseScope phase("test.inert",
+                                    parallel::LayerPhase::kForward);
+    EXPECT_FALSE(phase.active());
+    phase.BeginTeam(4);
+    phase.AddThreadBusyNs(0, 1000);
+    EXPECT_DOUBLE_EQ(phase.ImbalanceRatio(), 0.0);
+  }
+  EXPECT_EQ(MetricsRegistry::Default().FindHistogram("layer.test.inert.us"),
+            nullptr);
+}
+
+TEST(LayerPhaseScope, SerialPhaseRecordsTimeButNoImbalance) {
+  MetricsRegistry::Default().Reset();
+  SetMetrics(true);
+  {
+    parallel::LayerPhaseScope phase("test.serial",
+                                    parallel::LayerPhase::kBackward);
+  }
+  SetMetrics(false);
+  const auto& reg = MetricsRegistry::Default();
+  EXPECT_NE(reg.FindHistogram("layer.test.serial.us"), nullptr);
+  EXPECT_EQ(reg.FindGauge("layer.test.serial.imbalance_last"), nullptr);
+  EXPECT_EQ(reg.FindGauge("layer.test.serial.straggler_tid"), nullptr);
+}
+
+TEST(LayerPhaseScope, NestedPhaseRestoresTheOuterOne) {
+  ASSERT_EQ(parallel::LayerPhaseScope::Current(), nullptr);
+  {
+    parallel::LayerPhaseScope outer("outer.forward",
+                                    parallel::LayerPhase::kForward);
+    EXPECT_EQ(parallel::LayerPhaseScope::Current(), &outer);
+    {
+      parallel::LayerPhaseScope inner("inner.forward",
+                                      parallel::LayerPhase::kForward);
+      EXPECT_EQ(parallel::LayerPhaseScope::Current(), &inner);
+    }
+    EXPECT_EQ(parallel::LayerPhaseScope::Current(), &outer);
+  }
+  EXPECT_EQ(parallel::LayerPhaseScope::Current(), nullptr);
+}
+
+// A region inside a phase shows up as one `layer` span on the opening
+// thread and one `region` span per team thread, and feeds its per-thread
+// busy time into the phase's metrics.
+TEST(LayerPhaseScope, RegionReportsIntoTheOpenPhase) {
+  constexpr int kTeam = 4;
+  parallel::ParallelConfig cfg;
+  cfg.mode = parallel::ExecutionMode::kCoarseGrain;
+  cfg.num_threads = kTeam;
+  parallel::Parallel::Scope scope(cfg);
+  MetricsRegistry::Default().Reset();
+  SetMetrics(true);
+  std::vector<double> y(4096, 0.0);
+  {
+    TracingScope tracing;
+    parallel::LayerPhaseScope phase("team.forward",
+                                    parallel::LayerPhase::kForward);
+    parallel::ForEachChunk(static_cast<index_t>(y.size()),
+                           [&](const parallel::Chunk& c) {
+                             for (index_t i = c.begin; i < c.end; ++i) {
+                               y[static_cast<std::size_t>(i)] =
+                                   std::sqrt(static_cast<double>(i));
+                             }
+                           });
+  }
+  SetMetrics(false);
+  std::size_t layer_spans = 0;
+  std::set<int> region_tids;
+  for (const TraceEvent& e : Tracer::Get().Events()) {
+    if (e.name != "team.forward") continue;
+    if (std::string(e.category) == "layer") ++layer_spans;
+    if (std::string(e.category) == "region") region_tids.insert(e.tid);
+  }
+  Tracer::Get().Clear();
+  EXPECT_EQ(layer_spans, 1u);
+  EXPECT_EQ(region_tids.size(), static_cast<std::size_t>(kTeam));
+  const auto& reg = MetricsRegistry::Default();
+  const Gauge* straggler = reg.FindGauge("layer.team.forward.straggler_tid");
+  ASSERT_NE(straggler, nullptr);
+  EXPECT_GE(straggler->value(), 0.0);
+  EXPECT_LT(straggler->value(), kTeam);
+  const Gauge* imbalance = reg.FindGauge("layer.team.forward.imbalance_last");
+  ASSERT_NE(imbalance, nullptr);
+  EXPECT_GE(imbalance->value(), 1.0);
+}
+
+// One namespace for every layer phase: a LeNet pass at T=4 leaves no
+// `region.*` key, and every phase that ran a team carries its imbalance
+// attribution under `layer.<layer>.<phase>.`.
+TEST(LayerPhaseMetrics, LenetAtFourThreadsUsesOneNamespace) {
+  parallel::ParallelConfig cfg;
+  cfg.mode = parallel::ExecutionMode::kCoarseGrain;
+  cfg.num_threads = 4;
+  parallel::Parallel::Scope scope(cfg);
+  SeedGlobalRng(7);
+  models::ModelOptions opts;
+  opts.batch_size = 16;
+  Net<float> net(models::LeNet(opts), Phase::kTrain);
+  MetricsRegistry::Default().Reset();
+  SetMetrics(true);
+  std::set<std::string> parallel_phases;
+  {
+    TracingScope tracing;
+    net.ForwardBackward();
+  }
+  SetMetrics(false);
+  for (const TraceEvent& e : Tracer::Get().Events()) {
+    if (std::string(e.category) == "region") parallel_phases.insert(e.name);
+  }
+  Tracer::Get().Clear();
+  ASSERT_FALSE(parallel_phases.empty());
+
+  const auto& reg = MetricsRegistry::Default();
+  std::ostringstream os;
+  reg.WriteJson(os);
+  EXPECT_EQ(os.str().find("\"region."), std::string::npos) << os.str();
+  for (const std::string& name : net.layer_names()) {
+    EXPECT_NE(reg.FindHistogram("layer." + name + ".forward.us"), nullptr)
+        << name;
+  }
+  for (const std::string& phase : parallel_phases) {
+    EXPECT_NE(reg.FindGauge("layer." + phase + ".imbalance_last"), nullptr)
+        << phase;
+    EXPECT_NE(reg.FindGauge("layer." + phase + ".straggler_tid"), nullptr)
+        << phase;
+  }
 }
 
 TEST(Telemetry, WritesOneJsonObjectPerLine) {

@@ -203,8 +203,8 @@ int main(int argc, char** argv) {
 
     // --- planned A/B pass --------------------------------------------------
     // Wall-clock on identical fresh nets, plain vs. under the execution
-    // plan, so the two numbers share a measurement basis (the per-layer
-    // profiler attribution above cannot see fused epilogues as such).
+    // plan, so the two numbers share a measurement basis (the per-layer-
+    // phase attribution above cannot see fused epilogues as such).
     const bool planned_mode = flags.GetBool("planned");
     std::map<int, double> plain_wall_us, planned_wall_us;
     if (planned_mode) {
@@ -393,7 +393,7 @@ int main(int argc, char** argv) {
       plan::PassCost cost;
       if (const auto it = cost_by_name.find(row.layer);
           it != cost_by_name.end()) {
-        cost = row.phase == profile::LayerPhase::kForward
+        cost = row.phase == parallel::LayerPhase::kForward
                    ? it->second.forward
                    : it->second.backward;
       }
@@ -404,7 +404,7 @@ int main(int argc, char** argv) {
       if (!first_row) out << ",";
       first_row = false;
       out << "\n    {\"name\": \"" << row.layer << "\", \"phase\": \""
-          << profile::LayerPhaseName(row.phase) << "\", \"type\": \""
+          << parallel::LayerPhaseName(row.phase) << "\", \"type\": \""
           << row.type << "\",\n";
       out << "     \"flops\": ";
       WriteJsonNumber(out, cost.flops);

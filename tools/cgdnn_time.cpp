@@ -12,7 +12,7 @@
 // (synthetic data). --trace-out records a Chrome trace-event JSON of the
 // timed iterations (open in chrome://tracing or Perfetto); --metrics-out
 // dumps the metrics registry, including per-layer FLOPs / bytes / achieved
-// GFLOP/s and per-region load-imbalance histograms. --counters additionally
+// GFLOP/s and per-layer-phase load-imbalance histograms. --counters additionally
 // samples hardware performance counters (docs/observability.md) so spans
 // and metrics carry cycles/instructions/LLC/IPC data where the host allows
 // perf_event_open; unsupported hosts degrade to timing-only.
@@ -20,8 +20,8 @@
 
 #include "cgdnn/core/rng.hpp"
 #include "cgdnn/net/net.hpp"
+#include "cgdnn/net/thread_sweep.hpp"
 #include "cgdnn/plan/layer_cost.hpp"
-#include "cgdnn/profile/profiler.hpp"
 #include "flags.hpp"
 
 namespace {
@@ -49,30 +49,29 @@ int main(int argc, char** argv) {
 
     net.ForwardBackward();  // warmup + shape resolution
 
-    // Arm tracing/metrics only for the measured iterations so the trace
-    // starts at the first profiled pass.
+    // Arm tracing only for the measured iterations so the trace starts at
+    // the first timed pass; the sweep arms metrics, the one per-layer sink.
     tools::Observability obs(flags);
-    profile::Profiler profiler;
-    net.set_profiler(&profiler);
-    for (index_t i = 0; i < iterations; ++i) {
-      net.ClearParamDiffs();
-      net.ForwardBackward();
-    }
-    net.set_profiler(nullptr);
+    const int threads = parallel::Parallel::ResolveThreads();
+    const ThreadSweep sweep =
+        MeasureThreadSweep(net, {threads}, 0, static_cast<int>(iterations),
+                           parallel::Parallel::Config());
+    auto& registry = trace::MetricsRegistry::Default();
     if (flags.Has("metrics-out")) {
       // Per-layer work (FLOPs and bytes per pass) next to the runtime
       // histograms, with the GFLOP/s the fastest timed pass achieved.
-      auto& registry = trace::MetricsRegistry::Default();
       for (const plan::LayerCost& c : plan::NetLayerCosts(net)) {
-        for (const auto phase : {profile::LayerPhase::kForward,
-                                 profile::LayerPhase::kBackward}) {
-          const bool fwd = phase == profile::LayerPhase::kForward;
+        for (const auto phase : {parallel::LayerPhase::kForward,
+                                 parallel::LayerPhase::kBackward}) {
+          const bool fwd = phase == parallel::LayerPhase::kForward;
           const plan::PassCost& pass = fwd ? c.forward : c.backward;
           const std::string prefix =
-              "layer." + c.name + "." + profile::LayerPhaseName(phase);
+              "layer." + parallel::LayerPhaseKey(c.name, phase);
           registry.GetGauge(prefix + ".flops").Set(pass.flops);
           registry.GetGauge(prefix + ".bytes").Set(pass.bytes);
-          const double us = profiler.stats(c.name, phase).min_us();
+          const SweepRow* row = sweep.Find(c.name, phase);
+          const double us =
+              row != nullptr ? row->by_threads.at(threads).time.min_us() : 0;
           if (pass.flops > 0 && us > 0) {
             registry.GetGauge(prefix + ".gflops").Set(pass.flops / (us * 1e3));
           }
@@ -80,7 +79,9 @@ int main(int argc, char** argv) {
       }
     }
     obs.Finish();
-    std::cout << (flags.GetBool("csv") ? profiler.Csv() : profiler.Table());
+    std::cout << (flags.GetBool("csv")
+                      ? LayerTimeCsv(sweep, threads)
+                      : LayerTimeTable(net.layer_names(), registry));
     tools::FinishBlackbox(flags);
     return 0;
   } catch (const std::exception& e) {

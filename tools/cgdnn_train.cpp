@@ -9,7 +9,9 @@
 //               [--snapshot-prefix=P]       (default cgdnn_ckpt)
 //               [--snapshot-retain=K]       (keep newest K, default 3)
 //               [--resume=<file|prefix>]    (continue from a checkpoint)
-//               [--profile]                 (Figure-4-style layer table)
+//               [--profile]                 (Figure-4-style layer table;
+//                                            test passes of same-named
+//                                            layers count too)
 //               [--trace-out=trace.json] [--metrics-out=metrics.json]
 //               [--telemetry-out=train.jsonl] [--counters]
 //               [--blackbox=dump.bin] [--watchdog-sec=N] [--blackbox-dump]
@@ -34,7 +36,7 @@
 
 #include "cgdnn/net/checkpoint.hpp"
 #include "cgdnn/net/serialization.hpp"
-#include "cgdnn/profile/profiler.hpp"
+#include "cgdnn/net/thread_sweep.hpp"
 #include "cgdnn/solvers/solver.hpp"
 #include "flags.hpp"
 
@@ -133,8 +135,10 @@ int main(int argc, char** argv) {
 
     tools::Observability obs(flags);
     solver->set_telemetry(obs.telemetry());
-    profile::Profiler profiler;
-    if (flags.GetBool("profile")) solver->net().set_profiler(&profiler);
+    // --profile reads its table off the metrics registry, the one sink of
+    // per-layer timing, so it arms metrics collection for the run.
+    const bool profile = flags.GetBool("profile");
+    if (profile) trace::SetMetrics(true);
 
     std::cout << "training " << solver->net().name() << " ("
               << parallel::Parallel::ResolveThreads() << " thread(s), merge="
@@ -164,10 +168,13 @@ int main(int argc, char** argv) {
     if (!solver->loss_history().empty()) {
       std::cout << "final loss: " << solver->loss_history().back() << "\n";
     }
-    solver->net().set_profiler(nullptr);
     solver->set_telemetry(nullptr);
     obs.Finish();
-    if (flags.GetBool("profile")) std::cout << profiler.Table();
+    if (profile) {
+      trace::SetMetrics(false);
+      std::cout << LayerTimeTable(solver->net().layer_names(),
+                                  trace::MetricsRegistry::Default());
+    }
     if (!interrupted && solver->test_net() != nullptr) {
       for (const auto& [name, value] : solver->TestAll()) {
         std::cout << "test " << name << " = " << value << "\n";

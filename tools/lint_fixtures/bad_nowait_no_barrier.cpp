@@ -11,7 +11,7 @@ void BadNowaitThenMergeWithoutBarrier(float* dest, float* priv,
   // EXPECT: layer-pragma
 #pragma omp parallel num_threads(4)
   {
-    ThreadRegionScope scope;  // instrumentation idiom present
+    ThreadRegionScope scope(phase, checker, 0);  // instrumentation present
     // EXPECT: layer-pragma
 #pragma omp for schedule(static) nowait
     for (std::int64_t i = 0; i < n; ++i) {

@@ -6,7 +6,7 @@
 void BadStaticChunk(float* y, std::int64_t n) {
 #pragma omp parallel num_threads(4)
   {
-    ThreadRegionScope scope;  // instrumentation idiom present
+    ThreadRegionScope scope(phase, checker, 0);  // instrumentation present
     // EXPECT: static-schedule
 #pragma omp for schedule(static, 1)
     for (std::int64_t i = 0; i < n; ++i) {
@@ -18,7 +18,7 @@ void BadStaticChunk(float* y, std::int64_t n) {
 void BadStaticChunkFour(float* y, std::int64_t n) {
 #pragma omp parallel num_threads(4)
   {
-    ThreadRegionScope scope;
+    ThreadRegionScope scope(phase, checker, 0);
     // EXPECT: static-schedule
 #pragma omp for ordered schedule(static, 4)
     for (std::int64_t i = 0; i < n; ++i) {

@@ -1,17 +1,19 @@
-// Fixture: the canonical cgdnn parallel-region idiom — RegionStats +
-// ThreadRegionScope, nowait worksharing loop, explicit barrier, ordered
-// gradient merge. Outside layer code (the region helper and the benches)
+// Fixture: the canonical cgdnn parallel-region idiom — the region reports
+// into the open layer phase (LayerPhaseScope) through one ThreadRegionScope
+// per thread, nowait worksharing loop, explicit barrier, ordered gradient
+// merge. Outside layer code (the region helper and the benches)
 // hand-written regions remain legal.
 #include <cstdint>
 
 void GoodCanonicalRegion(float* dest, float* const* parts, float* priv,
                          std::int64_t n, int nthreads) {
-  RegionStats rstats("layer.backward", nthreads);
+  LayerPhaseScope phase("layer.backward", LayerPhase::kBackward);
+  phase.BeginTeam(nthreads);
 #pragma omp parallel num_threads(nthreads)
   {
     const int tid = 0;
     {
-      ThreadRegionScope rscope(rstats, tid);
+      ThreadRegionScope rscope(phase, nullptr, tid);
 #pragma omp for schedule(static) nowait
       for (std::int64_t i = 0; i < n; ++i) {
         priv[i] = 1.0f;
@@ -23,10 +25,11 @@ void GoodCanonicalRegion(float* dest, float* const* parts, float* priv,
 }
 
 void GoodNowaitAsTail(float* y, std::int64_t n, int nthreads) {
-  RegionStats rstats("layer.forward", nthreads);
+  LayerPhaseScope phase("layer.forward", LayerPhase::kForward);
+  phase.BeginTeam(nthreads);
 #pragma omp parallel num_threads(nthreads)
   {
-    ThreadRegionScope rscope(rstats, 0);
+    ThreadRegionScope rscope(phase, nullptr, 0);
     // nowait loop as the last statement: the region-end implicit barrier
     // synchronizes, nothing races.
 #pragma omp for schedule(static) nowait

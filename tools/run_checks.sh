@@ -41,7 +41,7 @@ result() {  # result <name> <status>  (status 0 pass, 77 skip, else fail)
 # merge/privatizer/coalescing unit tests, and the cgdnn-check runtime
 # checker. Anchored names: a bare "Merge" would also pull in the (slow)
 # convergence training runs.
-parallel_tests='ParallelEquivalence|PerLayerThreadSweep|WriteSetCheckerTest|CheckedModels|ParallelRegion|MergeModes|MergeOrdered\.|MergeTree\.|PrivatizationPool|CoalescedRange|StaticChunk|BlackboxTest|ServeTest|ServeStatsTest|SyncPrimitives'
+parallel_tests='ParallelEquivalence|PerLayerThreadSweep|WriteSetCheckerTest|CheckedModels|ParallelRegion|MergeModes|MergeOrdered\.|MergeTree\.|PrivatizationPool|CoalescedRange|StaticChunk|BlackboxTest|ServeTest|ServeStatsTest|SyncPrimitives|LayerPhaseScope|LayerPhaseMetrics|TracedMerge|Tracer\.ConcurrentEmissionLosesNothing'
 # TSan runs the unit-level parallel suites plus single-thread model passes.
 # Whole-model multi-thread runs are excluded: TSan-instrumented GEMM inner
 # loops plus libgomp's ordered-section spin wait (which ignores
@@ -59,7 +59,7 @@ parallel_tests='ParallelEquivalence|PerLayerThreadSweep|WriteSetCheckerTest|Chec
 # ServeStatsTest (live-stats exporter) joins the same way: the sliding-
 # window/exemplar/publisher concurrency cases run under TSan, the two
 # model-forward cases (stage telescoping, trace flows) under ASan only.
-tsan_tests='WriteSetCheckerTest|CheckedModels.*threads1$|ParallelRegion|MergeModes|MergeOrdered\.|MergeTree\.|PrivatizationPool|CoalescedRange|StaticChunk|BlackboxTest|ServeTest\.(QueueIsBounded|ExpiredRequests|CompleteOnce|ServerForwards|AdmissionSheds|DegradationLadder|StalledWorker|DropResponse)|ServeStatsTest\.(SlidingHistogram|SlidingCounter|Exemplars|TailClassifier|SnapshotFile)|SyncPrimitives'
+tsan_tests='WriteSetCheckerTest|CheckedModels.*threads1$|ParallelRegion|LayerPhaseScope|TracedMerge|Tracer\.ConcurrentEmissionLosesNothing|MergeModes|MergeOrdered\.|MergeTree\.|PrivatizationPool|CoalescedRange|StaticChunk|BlackboxTest|ServeTest\.(QueueIsBounded|ExpiredRequests|CompleteOnce|ServerForwards|AdmissionSheds|DegradationLadder|StalledWorker|DropResponse)|ServeStatsTest\.(SlidingHistogram|SlidingCounter|Exemplars|TailClassifier|SnapshotFile)|SyncPrimitives'
 
 note "lint_parallel"
 python3 tools/lint_parallel.py --self-test && python3 tools/lint_parallel.py
