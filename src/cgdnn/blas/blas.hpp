@@ -11,30 +11,36 @@
 #pragma once
 
 #include "cgdnn/core/common.hpp"
+#include "cgdnn/core/gemm_isa.hpp"
 
 namespace cgdnn::blas {
 
 enum class Transpose { kNo, kTrans };
 
-/// Cache- and register-blocking parameters of the packed GEMM engine
-/// (docs/perf.md). The microkernel updates an MR x NR register tile; panels
-/// of A (MC x KC) and B (KC x NC) are packed into contiguous 64-byte-aligned
-/// per-thread scratch. Exposed so tests can sweep the edge cases (m/n around
-/// kMR/kNR, k around kKC) and so the docs/bench shapes stay in sync.
+/// Cache-blocking parameters of the packed GEMM engine (docs/perf.md).
+/// Panels of A (MC x KC) and B (KC x NC) are packed into contiguous
+/// 64-byte-aligned per-thread scratch; the register tile (MR x NR) belongs
+/// to the microkernel, whose ISA is chosen at run time (ActiveGemmTile).
+/// Exposed so tests can sweep the edge cases (k around kKC) and so the
+/// docs/bench shapes stay in sync.
 template <typename Dtype>
 struct GemmBlocking;
 
 template <>
 struct GemmBlocking<float> {
-  static constexpr index_t kMR = 4, kNR = 8;
   static constexpr index_t kMC = 64, kKC = 256, kNC = 1024;
 };
 
 template <>
 struct GemmBlocking<double> {
-  static constexpr index_t kMR = 4, kNR = 4;
   static constexpr index_t kMC = 64, kKC = 256, kNC = 512;
 };
+
+/// The MR x NR register tile this process's microkernel runs for Dtype:
+/// the active GEMM ISA's tile for float (core/gemm_isa.hpp), 4x4 for
+/// double. Throws Error when CGDNN_ISA is invalid for this host.
+template <typename Dtype>
+GemmTileShape ActiveGemmTile();
 
 /// Shapes below this op(B) volume (n * k element loads) skip packing and run
 /// branch-free naive loop nests instead: for LeNet-sized layers the pack

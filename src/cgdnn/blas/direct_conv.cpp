@@ -81,25 +81,11 @@ class ImplicitCol {
   index_t* row_kw_ = nullptr;  // per col row: kernel col offset
 };
 
-template <typename Dtype>
-Dtype* AllocPack(ThreadArena& arena, index_t panels, index_t tile) {
-  return static_cast<Dtype*>(arena.Allocate(
-      static_cast<std::size_t>(kernels::RoundUpTo(panels, tile) *
-                               GemmBlocking<Dtype>::kKC) *
-      sizeof(Dtype)));
-}
-
-}  // namespace
-
-bool DirectConvSupported(const ConvGeom& g, index_t group, index_t dilation) {
-  return group == 1 && dilation == 1 && g.out_spatial() > 0 &&
-         g.kernel_dim() > 0;
-}
-
-template <typename Dtype>
-void DirectConvForward(const ConvGeom& g, index_t num_output,
-                       const Dtype* weights, const Dtype* image, Dtype* top) {
-  using B = GemmBlocking<Dtype>;
+/// DirectConvForward with the process's tile (one ISA switch at entry).
+template <typename Tile, typename Dtype = typename Tile::Scalar>
+void DirectConvForwardWith(const ConvGeom& g, index_t num_output,
+                           const Dtype* weights, const Dtype* image,
+                           Dtype* top) {
   const index_t m = num_output;
   const index_t n = g.out_spatial();
   const index_t k = g.kernel_dim();
@@ -107,20 +93,19 @@ void DirectConvForward(const ConvGeom& g, index_t num_output,
   arena.ResetScope();
   const ImplicitCol<Dtype> col(g, image, arena);
 
-  if (kernels::UsePackedPath<Dtype>(n, k)) {
-    Dtype* packa = AllocPack<Dtype>(arena, B::kMC, B::kMR);
-    Dtype* packb = AllocPack<Dtype>(arena, B::kNC, B::kNR);
-    kernels::PackedGemmLoop(
+  if (kernels::UsePackedPath<Tile>(n, k)) {
+    const kernels::PackBuffers<Tile> packs(arena);
+    kernels::PackedGemmLoop<Tile>(
         m, n, k, Dtype(0), top, n,
         [&](index_t i0, index_t p0, index_t mc, index_t kc, Dtype* pack) {
-          kernels::PackASlab(false, weights, k, i0, p0, mc, kc, Dtype(1),
-                             pack);
+          kernels::PackASlab<Tile>(false, weights, k, i0, p0, mc, kc,
+                                   Dtype(1), pack);
         },
         // Pack op(B) slabs straight from the image: panel layout and values
         // match PackBSlab(false, col_matrix, n, ...) element for element, so
-        // the MicroKernel sees byte-identical inputs.
+        // the microkernel sees byte-identical inputs.
         [&](index_t p0, index_t j0, index_t kc, index_t nc, Dtype* pack) {
-          constexpr index_t NR = GemmBlocking<Dtype>::kNR;
+          constexpr index_t NR = Tile::kNR;
           for (index_t jr = 0; jr < nc; jr += NR) {
             const index_t nr = std::min(NR, nc - jr);
             for (index_t kk = 0; kk < kc; ++kk) {
@@ -130,7 +115,7 @@ void DirectConvForward(const ConvGeom& g, index_t num_output,
             }
           }
         },
-        packa, packb);
+        packs);
     return;
   }
 
@@ -153,11 +138,11 @@ void DirectConvForward(const ConvGeom& g, index_t num_output,
   }
 }
 
-template <typename Dtype>
-void DirectConvBackwardWeights(const ConvGeom& g, index_t num_output,
-                               const Dtype* top_diff, const Dtype* image,
-                               Dtype* weight_diff) {
-  using B = GemmBlocking<Dtype>;
+/// DirectConvBackwardWeights with the process's tile.
+template <typename Tile, typename Dtype = typename Tile::Scalar>
+void DirectConvBackwardWeightsWith(const ConvGeom& g, index_t num_output,
+                                   const Dtype* top_diff, const Dtype* image,
+                                   Dtype* weight_diff) {
   const index_t m = num_output;
   const index_t n = g.kernel_dim();
   const index_t k = g.out_spatial();
@@ -165,19 +150,18 @@ void DirectConvBackwardWeights(const ConvGeom& g, index_t num_output,
   arena.ResetScope();
   const ImplicitCol<Dtype> col(g, image, arena);
 
-  if (kernels::UsePackedPath<Dtype>(n, k)) {
-    Dtype* packa = AllocPack<Dtype>(arena, B::kMC, B::kMR);
-    Dtype* packb = AllocPack<Dtype>(arena, B::kNC, B::kNR);
-    kernels::PackedGemmLoop(
+  if (kernels::UsePackedPath<Tile>(n, k)) {
+    const kernels::PackBuffers<Tile> packs(arena);
+    kernels::PackedGemmLoop<Tile>(
         m, n, k, Dtype(1), weight_diff, n,
         [&](index_t i0, index_t p0, index_t mc, index_t kc, Dtype* pack) {
-          kernels::PackASlab(false, top_diff, k, i0, p0, mc, kc, Dtype(1),
-                             pack);
+          kernels::PackASlab<Tile>(false, top_diff, k, i0, p0, mc, kc,
+                                   Dtype(1), pack);
         },
         // op(B)(kk, j) = col^T(kk, j) = col(j0+jr+j, p0+kk): matches
         // PackBSlab(true, col_matrix, out_spatial, ...) element for element.
         [&](index_t p0, index_t j0, index_t kc, index_t nc, Dtype* pack) {
-          constexpr index_t NR = GemmBlocking<Dtype>::kNR;
+          constexpr index_t NR = Tile::kNR;
           for (index_t jr = 0; jr < nc; jr += NR) {
             const index_t nr = std::min(NR, nc - jr);
             for (index_t kk = 0; kk < kc; ++kk) {
@@ -189,7 +173,7 @@ void DirectConvBackwardWeights(const ConvGeom& g, index_t num_output,
             }
           }
         },
-        packa, packb);
+        packs);
     return;
   }
 
@@ -205,6 +189,31 @@ void DirectConvBackwardWeights(const ConvGeom& g, index_t num_output,
           Dtype(1) * kernels::DotRowKernel(k, top_diff + i * k, rowbuf);
     }
   }
+}
+
+}  // namespace
+
+bool DirectConvSupported(const ConvGeom& g, index_t group, index_t dilation) {
+  return group == 1 && dilation == 1 && g.out_spatial() > 0 &&
+         g.kernel_dim() > 0;
+}
+
+template <typename Dtype>
+void DirectConvForward(const ConvGeom& g, index_t num_output,
+                       const Dtype* weights, const Dtype* image, Dtype* top) {
+  kernels::WithActiveTile<Dtype>([&](auto tile) {
+    DirectConvForwardWith<decltype(tile)>(g, num_output, weights, image, top);
+  });
+}
+
+template <typename Dtype>
+void DirectConvBackwardWeights(const ConvGeom& g, index_t num_output,
+                               const Dtype* top_diff, const Dtype* image,
+                               Dtype* weight_diff) {
+  kernels::WithActiveTile<Dtype>([&](auto tile) {
+    DirectConvBackwardWeightsWith<decltype(tile)>(g, num_output, top_diff,
+                                                  image, weight_diff);
+  });
 }
 
 #define CGDNN_INSTANTIATE_DIRECT_CONV(Dtype)                               \

@@ -11,9 +11,10 @@
 // that beats the materialized path.
 //
 // Bit-identity contract (docs/perf.md): both strategies run the SAME kernel
-// symbols from gemm_kernels.hpp — the packed path feeds MicroKernel pack
-// buffers that are byte-identical to what PackBSlab would produce from a
-// materialized col matrix, and the small path runs AxpyRowKernel /
+// symbols from gemm_kernels.hpp — the packed path feeds the process's
+// register tile (one per ISA, fixed per process) pack buffers that are
+// byte-identical to what PackBSlab would produce from a materialized col
+// matrix, and the small path runs AxpyRowKernel /
 // DotRowKernel in the same per-element ascending-k order as SmallGemmNN /
 // SmallGemmNT. A planner strategy switch therefore never changes a single
 // output bit, which the planned-vs-unplanned thread-sweep tests enforce.

@@ -3,11 +3,13 @@
 // Large shapes take the packed path: panels of op(A) (MC x KC, alpha folded
 // in) and op(B) (KC x NC) are packed into 64-byte-aligned per-thread scratch
 // — the pack routines absorb all four transpose combinations, so there is
-// exactly ONE inner kernel. The microkernel accumulates an MR x NR register
-// tile over a KC panel with a branch-free, `omp simd`-vectorized loop; beta
-// is folded into the tile store of the first KC panel, so no separate sweep
-// over C remains. Edge tiles are zero-padded during packing, keeping the
-// kernel free of remainder branches.
+// exactly ONE inner kernel per ISA, picked once per process
+// (kernels::WithActiveTile). The microkernel accumulates an MR x NR
+// register tile over a KC panel with a branch-free loop (`omp simd` on the
+// baseline, FMA intrinsics in the AVX2/AVX-512 tiles); beta is folded into
+// the tile store of the first KC panel, so no separate sweep over C
+// remains. Edge tiles are zero-padded during packing, keeping the kernel
+// free of remainder branches.
 //
 // Small shapes (op(B) volume under kGemmPackMinWork) skip packing and run
 // branch-free naive loop nests: for LeNet-sized layers the pack traffic
@@ -40,33 +42,27 @@ namespace {
 
 using kernels::AxpyRowKernel;
 using kernels::DotRowKernel;
-using kernels::RoundUpTo;
 using kernels::ScaleC;
 
-template <typename Dtype>
+template <typename Tile, typename Dtype = typename Tile::Scalar>
 void PackedGemm(bool trans_a, bool trans_b, index_t m, index_t n, index_t k,
                 Dtype alpha, const Dtype* a, const Dtype* b, Dtype beta,
                 Dtype* c) {
-  using B = GemmBlocking<Dtype>;
   const index_t lda = trans_a ? m : k;
   const index_t ldb = trans_b ? k : n;
   ThreadArena& arena = kernels::PackArena();
   arena.ResetScope();
-  auto* packa = static_cast<Dtype*>(arena.Allocate(
-      static_cast<std::size_t>(RoundUpTo(B::kMC, B::kMR) * B::kKC) *
-      sizeof(Dtype)));
-  auto* packb = static_cast<Dtype*>(arena.Allocate(
-      static_cast<std::size_t>(RoundUpTo(B::kNC, B::kNR) * B::kKC) *
-      sizeof(Dtype)));
-  kernels::PackedGemmLoop(
+  const kernels::PackBuffers<Tile> packs(arena);
+  kernels::PackedGemmLoop<Tile>(
       m, n, k, beta, c, n,
       [&](index_t i0, index_t p0, index_t mc, index_t kc, Dtype* pack) {
-        kernels::PackASlab(trans_a, a, lda, i0, p0, mc, kc, alpha, pack);
+        kernels::PackASlab<Tile>(trans_a, a, lda, i0, p0, mc, kc, alpha,
+                                 pack);
       },
       [&](index_t p0, index_t j0, index_t kc, index_t nc, Dtype* pack) {
-        kernels::PackBSlab(trans_b, b, ldb, p0, j0, kc, nc, pack);
+        kernels::PackBSlab<Tile>(trans_b, b, ldb, p0, j0, kc, nc, pack);
       },
-      packa, packb);
+      packs);
 }
 
 // ---- small path ------------------------------------------------------------
@@ -152,10 +148,13 @@ void gemm(Transpose trans_a, Transpose trans_b, index_t m, index_t n,
   }
   const bool ta = trans_a == Transpose::kTrans;
   const bool tb = trans_b == Transpose::kTrans;
-  if (kernels::UsePackedPath<Dtype>(n, k)) {
-    PackedGemm(ta, tb, m, n, k, alpha, a, b, beta, c);
-    return;
-  }
+  const bool packed = kernels::WithActiveTile<Dtype>([&](auto tile) {
+    using Tile = decltype(tile);
+    if (!kernels::UsePackedPath<Tile>(n, k)) return false;
+    PackedGemm<Tile>(ta, tb, m, n, k, alpha, a, b, beta, c);
+    return true;
+  });
+  if (packed) return;
   ScaleC(m, n, beta, c);
   if (!ta && !tb) {
     SmallGemmNN(m, n, k, alpha, a, b, c);
@@ -166,6 +165,14 @@ void gemm(Transpose trans_a, Transpose trans_b, index_t m, index_t n,
   } else {
     SmallGemmTT(m, n, k, alpha, a, b, c);
   }
+}
+
+template <typename Dtype>
+GemmTileShape ActiveGemmTile() {
+  return kernels::WithActiveTile<Dtype>([](auto tile) {
+    using Tile = decltype(tile);
+    return GemmTileShape{Tile::kMR, Tile::kNR};
+  });
 }
 
 template <typename Dtype>
@@ -208,7 +215,8 @@ void ger(index_t m, index_t n, Dtype alpha, const Dtype* x, const Dtype* y,
   template void gemv<Dtype>(Transpose, index_t, index_t, Dtype,              \
                             const Dtype*, const Dtype*, Dtype, Dtype*);      \
   template void ger<Dtype>(index_t, index_t, Dtype, const Dtype*,            \
-                           const Dtype*, Dtype*)
+                           const Dtype*, Dtype*);                            \
+  template GemmTileShape ActiveGemmTile<Dtype>()
 
 CGDNN_INSTANTIATE_GEMM(float);
 CGDNN_INSTANTIATE_GEMM(double);

@@ -3,6 +3,9 @@
 #include <omp.h>
 
 #include <sstream>
+#include <string>
+
+#include "cgdnn/core/gemm_isa.hpp"
 
 #ifdef __unix__
 #include <sys/resource.h>
@@ -103,6 +106,17 @@ void WriteMetaJson(std::ostream& os) {
   WriteJsonEscaped(os, info.flags);
   os << ", \"options\": ";
   WriteJsonEscaped(os, info.options);
+  // The float GEMM kernel this process runs: bits (and speed) differ
+  // across ISAs, so reports name it. An invalid CGDNN_ISA is reported as
+  // such here; the first GEMM raises the Error.
+  try {
+    const GemmIsa isa = ActiveGemmIsa();
+    const GemmTileShape tile = FloatGemmTile(isa);
+    os << ", \"gemm_isa\": \"" << GemmIsaName(isa)
+       << "\", \"gemm_tile\": \"" << tile.mr << 'x' << tile.nr << '"';
+  } catch (const Error&) {
+    os << ", \"gemm_isa\": \"invalid\"";
+  }
   os << ", \"threads\": " << omp_get_max_threads();
 #ifdef __unix__
   // Peak RSS of the whole process so far (ru_maxrss is KB on Linux). Meta

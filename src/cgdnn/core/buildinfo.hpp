@@ -3,11 +3,12 @@
 // Every JSON artifact the tools write (Chrome traces, metrics dumps,
 // telemetry streams, BENCH_*/AUDIT_* reports, black-box dumps) stamps the
 // same `meta` header: git SHA, compiler + flags, the CGDNN_* feature
-// options the binary was built with, the OpenMP thread ceiling and the
-// hostname. Two reports can then be compared knowing WHAT produced them —
-// tools/compare_bench.py prints both sides' meta whenever it flags a
-// regression, so "regression" vs "different build / different machine" is
-// answerable from the reports alone.
+// options the binary was built with, the GEMM kernel ISA the process
+// picked, the OpenMP thread ceiling and the hostname. Two reports can then
+// be compared knowing WHAT produced them — tools/compare_bench.py prints
+// both sides' meta whenever it flags a regression, so "regression" vs
+// "different build / different machine" is answerable from the reports
+// alone.
 #pragma once
 
 #include <ostream>
@@ -31,8 +32,11 @@ const std::string& Hostname();
 
 /// Writes the meta header as one JSON object (no trailing separator):
 ///   {"git_sha": "...", "compiler": "...", "build_type": "...",
-///    "flags": "...", "options": "...", "threads": N,
-///    "peak_rss_kb": N, "hostname": "..."}
+///    "flags": "...", "options": "...", "gemm_isa": "avx512",
+///    "gemm_tile": "8x32", "threads": N, "peak_rss_kb": N,
+///    "hostname": "..."}
+/// `gemm_isa`/`gemm_tile` name the float GEMM microkernel this process
+/// runs (core/gemm_isa.hpp; "invalid" when CGDNN_ISA is).
 /// `threads` is omp_get_max_threads() — the run's thread ceiling.
 /// `peak_rss_kb` is the process peak RSS at write time (getrusage;
 /// omitted on platforms without it).

@@ -1,5 +1,7 @@
 #include "cgdnn/layers/inner_product_layer.hpp"
 
+#include <algorithm>
+
 #include "cgdnn/blas/blas.hpp"
 #include "cgdnn/layers/filler.hpp"
 #include "cgdnn/parallel/region.hpp"
@@ -145,23 +147,32 @@ void InnerProductLayer<Dtype>::Backward_cpu_parallel(
   // Parameter gradients are partitioned by OUTPUT ROW instead of by sample
   // (the loop-rearrangement freedom of paper §3.1.2): each dW row is a sum
   // over all samples, so threads own disjoint rows, no privatization or
-  // merge is needed, and the per-row sample-ascending accumulation is
-  // bit-identical to the serial GEMM. The weight matrix is the layer's
-  // dominant state, so this also avoids the O(weights x threads) memory a
-  // batch-partitioned accumulation would privatize. The bottom gradient
-  // stays batch-partitioned (disjoint per sample).
-  parallel::ForEachChunk(
-      m_, [&](const parallel::Chunk& c) {
+  // merge is needed, and the weight matrix — the layer's dominant state —
+  // is never copied per thread. A thread's dW rows are the serial GEMM
+  // restricted to those rows of op(A) = top_diff^T, so it gathers its
+  // columns of top_diff into an m x rows scratch and runs the same GEMM on
+  // them: the path choice depends only on (n, k), so every chunk runs the
+  // serial call's kernel and its rows come out bit-identical to it. The
+  // bottom gradient stays batch-partitioned (disjoint per sample). The
+  // scratch is sized for all rows: the team size is the helper's to pick.
+  const index_t scratch_count = weight_diff != nullptr ? m_ * num_output_ : 0;
+  parallel::ForEachChunkPrivate<Dtype>(
+      m_, scratch_count, {},
+      [&](const parallel::Chunk& c, Dtype* top_cols, Dtype* const*) {
         const parallel::IterRange rows = c.Share(num_output_);
-        for (index_t o = rows.begin; o < rows.end; ++o) {
-          if (weight_diff != nullptr) {
-            Dtype* wrow = weight_diff + o * k_;
-            for (index_t s = 0; s < m_; ++s) {
-              blas::axpy(k_, top_diff[s * num_output_ + o],
-                         bottom_data + s * k_, wrow);
-            }
+        const index_t nrows = rows.end - rows.begin;
+        if (weight_diff != nullptr && nrows > 0) {
+          for (index_t s = 0; s < m_; ++s) {
+            std::copy_n(top_diff + s * num_output_ + rows.begin, nrows,
+                        top_cols + s * nrows);
           }
-          if (bias_diff != nullptr) {
+          blas::gemm(blas::Transpose::kTrans, blas::Transpose::kNo, nrows, k_,
+                     m_, Dtype(1), top_cols, bottom_data, Dtype(1),
+                     weight_diff + rows.begin * k_);
+          c.Wrote(weight_diff, "weight.diff", rows.begin * k_, rows.end * k_);
+        }
+        if (bias_diff != nullptr) {
+          for (index_t o = rows.begin; o < rows.end; ++o) {
             // Accumulate from the existing value in sample order: the exact
             // association of the serial transposed GEMV.
             Dtype sum = bias_diff[o];
@@ -170,11 +181,6 @@ void InnerProductLayer<Dtype>::Backward_cpu_parallel(
             }
             bias_diff[o] = sum;
           }
-        }
-        if (weight_diff != nullptr) {
-          c.Wrote(weight_diff, "weight.diff", rows.begin * k_, rows.end * k_);
-        }
-        if (bias_diff != nullptr) {
           c.Wrote(bias_diff, "bias.diff", rows.begin, rows.end);
         }
         if (bottom_diff != nullptr && c.end > c.begin) {

@@ -21,17 +21,38 @@ struct MachinePeak {
   double gflops = 0;
   /// Aggregate triad bandwidth in GB/s (counted as 3 streamed arrays).
   double mem_gbps = 0;
+  /// Judged against a reference reading at fewer threads only: the GEMM or
+  /// triad reading came in below the reference's (a neighbour stole the
+  /// cores mid-probe), so the probe ran once more and the better readings
+  /// were kept.
+  bool probe_rerun = false;
+  /// Still below the reference after the re-run: the ceilings are not to
+  /// be trusted (roof_efficiency against them overstates).
+  bool probe_suspect = false;
+  /// ISA-derived compute ceiling: threads x GemmIsaFlopsPerCycle(active
+  /// GEMM ISA) x base clock (cpuid leaf 0x16). 0 when the CPU does not
+  /// report its clock there (common under virtualization).
+  double theoretical_gflops = 0;
   /// Arithmetic intensity (FLOP/byte) where the compute and memory roofs
   /// intersect; below it a kernel is bandwidth-limited.
   double RidgeAi() const { return mem_gbps > 0 ? gflops / mem_gbps : 0; }
 };
 
-/// Runs the GEMM and triad probes with `threads` concurrent workers.
-/// `gemm_dim` is the square GEMM size (small enough to keep startup cheap,
-/// large enough to hit the packed engine's blocked path);
-/// `triad_elems` is the per-array element count of the bandwidth probe.
+/// Runs the GEMM and triad probes with `threads` concurrent workers, each
+/// the best of `reps` repetitions. `gemm_dim` is the square GEMM size
+/// (small enough to keep startup cheap, large enough to hit the packed
+/// engine's blocked path); `triad_elems` is the per-array element count of
+/// the bandwidth probe. Given a `reference` reading taken at fewer threads
+/// (a caller sweeping thread counts passes its 1-thread reading), a reading
+/// below it is re-run once (probe_rerun) and flagged if still low
+/// (probe_suspect); without one the probes run once.
 MachinePeak MeasureMachinePeak(int threads, index_t gemm_dim = 192,
-                               index_t triad_elems = 1 << 22, int reps = 3);
+                               index_t triad_elems = 1 << 22, int reps = 3,
+                               const MachinePeak* reference = nullptr);
+
+/// Base clock in GHz from cpuid leaf 0x16; 0 when the leaf is absent or
+/// reads 0 (and on non-x86 hosts).
+double CpuBaseClockGhz();
 
 /// Where one (layer, phase, thread-count) measurement sits on the roofline.
 struct RooflinePoint {

@@ -13,6 +13,7 @@ std::string ExecutionPlan::ToJson() const {
   os << "  \"batch\": " << batch << ",\n";
   os << "  \"threads\": " << threads << ",\n";
   os << "  \"git_sha\": \"" << JsonEscape(git_sha) << "\",\n";
+  os << "  \"gemm_isa\": \"" << JsonEscape(gemm_isa) << "\",\n";
   os << "  \"gflops\": " << gflops << ",\n";
   os << "  \"mem_gbps\": " << mem_gbps << ",\n";
   os << "  \"col_slot_bytes\": " << col_slot_bytes << ",\n";
@@ -69,6 +70,9 @@ bool ExecutionPlan::FromJson(std::string_view text, ExecutionPlan* out) {
   if (sig == nullptr || sha == nullptr) return false;
   p.net_signature = sig->AsString();
   p.git_sha = sha->AsString();
+  // Absent in plans written before the key carried the ISA: the empty
+  // value never matches a live key, so such a file reads as a miss.
+  p.gemm_isa = root.GetString("gemm_isa");
   p.batch = root.GetInt("batch", -1);
   p.threads = static_cast<int>(root.GetInt("threads", -1));
   if (p.batch < 0 || p.threads < 0) return false;

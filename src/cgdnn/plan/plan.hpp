@@ -42,6 +42,7 @@ struct ExecutionPlan {
   index_t batch = 0;
   int threads = 0;
   std::string git_sha;
+  std::string gemm_isa;  ///< GEMM kernel ISA the plan was measured under
 
   // ---- machine model the decisions were derived from ----
   double gflops = 0;

@@ -27,6 +27,8 @@ std::string PlanCachePath(const PlanCacheKey& key, const std::string& dir) {
   blob += std::to_string(key.threads);
   blob += '\n';
   blob += key.git_sha;
+  blob += '\n';
+  blob += key.gemm_isa;
   const std::uint32_t crc = data::Crc32(blob.data(), blob.size());
   char name[32];
   std::snprintf(name, sizeof(name), "plan_%08x.json", crc);
@@ -58,7 +60,8 @@ bool LoadCachedPlan(const PlanCacheKey& key, const std::string& dir,
     return false;
   }
   if (plan.net_signature != key.net_signature || plan.batch != key.batch ||
-      plan.threads != key.threads || plan.git_sha != key.git_sha) {
+      plan.threads != key.threads || plan.git_sha != key.git_sha ||
+      plan.gemm_isa != key.gemm_isa) {
     return false;
   }
   *out = std::move(plan);
@@ -67,7 +70,7 @@ bool LoadCachedPlan(const PlanCacheKey& key, const std::string& dir,
 
 void StorePlan(const ExecutionPlan& plan, const std::string& dir) {
   PlanCacheKey key{plan.net_signature, plan.batch, plan.threads,
-                   plan.git_sha};
+                   plan.git_sha, plan.gemm_isa};
   try {
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);

@@ -4,9 +4,12 @@
 // machine-peak probes plus both conv kernels per ambiguous shape, tens of
 // milliseconds that would otherwise be paid at every process start. The
 // cache persists each finished plan as JSON keyed by
-// (net signature, batch, threads, git SHA): the four inputs that change the
-// decisions. The git SHA is the coarse invalidator — any rebuild from new
-// sources may have changed kernel costs, so cached measurements are stale.
+// (net signature, batch, threads, git SHA, GEMM ISA): the five inputs that
+// change the decisions. The git SHA is the coarse invalidator — any rebuild
+// from new sources may have changed kernel costs, so cached measurements
+// are stale. The GEMM ISA (CGDNN_ISA / cpuid, core/gemm_isa.hpp) changes
+// the kernel the measured im2col-vs-direct timings were taken with, within
+// one build.
 //
 // Files live in $CGDNN_PLAN_CACHE_DIR (default .cgdnn_plan_cache/ under the
 // working directory) as plan_<crc32-of-key>.json, written atomically
@@ -26,6 +29,7 @@ struct PlanCacheKey {
   index_t batch = 0;
   int threads = 0;
   std::string git_sha;
+  std::string gemm_isa;  ///< GemmIsaName() of the kernel that was measured
 };
 
 /// Resolved cache directory: `override_dir` if non-empty, else

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "cgdnn/core/buildinfo.hpp"
+#include "cgdnn/core/gemm_isa.hpp"
 #include "cgdnn/layers/conv_layer.hpp"
 #include "cgdnn/plan/cost_model.hpp"
 #include "cgdnn/plan/plan_cache.hpp"
@@ -251,11 +252,12 @@ BuildResult BuildPlan(const Net<Dtype>& net, const PlannerOptions& opts) {
                    : net.blobs()[0]->shape(0);
   plan.threads = opts.threads;
   plan.git_sha = buildinfo::Get().git_sha;
+  plan.gemm_isa = GemmIsaName(ActiveGemmIsa());
 
   const std::string cache_dir = PlanCacheDir(opts.cache_dir);
   if (opts.use_cache) {
     PlanCacheKey key{plan.net_signature, plan.batch, plan.threads,
-                     plan.git_sha};
+                     plan.git_sha, plan.gemm_isa};
     ExecutionPlan cached;
     if (LoadCachedPlan(key, cache_dir, &cached)) {
       result.plan = std::move(cached);

@@ -222,7 +222,7 @@ INSTANTIATE_TEST_SUITE_P(Shapes, GemvAgainstNaive,
 
 // ---- randomized stress sweep over the packed engine's edge cases -----------
 //
-// Degenerate shapes around the register tile (kMR/kNR plus odd tails), all
+// Degenerate shapes around the register tile (MR/NR plus odd tails), all
 // four transpose combos, alpha/beta in {0, 1, -0.5}, float and double, all
 // validated against the kept naive reference kernel. k crosses kKC so the
 // multi-panel beta handling (user beta on the first KC panel only) is
@@ -235,8 +235,10 @@ TYPED_TEST_SUITE(GemmStress, StressTypes);
 
 TYPED_TEST(GemmStress, RandomizedSweepMatchesNaiveReference) {
   using Dtype = TypeParam;
-  constexpr index_t MR = GemmBlocking<Dtype>::kMR;
-  constexpr index_t NR = GemmBlocking<Dtype>::kNR;
+  // The tile this process runs (CGDNN_ISA / cpuid), so every ISA's edge
+  // stores are swept when the suite runs under each ISA.
+  const index_t MR = ActiveGemmTile<Dtype>().mr;
+  const index_t NR = ActiveGemmTile<Dtype>().nr;
   constexpr index_t KC = GemmBlocking<Dtype>::kKC;
   const std::vector<index_t> ms = {1, MR - 1, MR, MR + 1, 2 * MR + 1};
   const std::vector<index_t> ns = {1, NR - 1, NR, NR + 1, 3 * NR + 3};
@@ -319,6 +321,69 @@ TEST(Gemm, RowPartitionedCallsMatchFullCallBitExactly) {
                 a.data() + i0 * k, b.data(), 0.0f, c_chunked.data() + i0 * n);
   }
   EXPECT_EQ(c_full, c_chunked);
+}
+
+TEST(Gemm, RowPartitionedBetaMergeMatchesFullCall) {
+  // Same as above through the general-beta store (beta not 0 or 1) and
+  // with the first chunk split at an odd row, so rows that sit in a full
+  // register tile of the full call land in edge tiles of the chunked one.
+  const index_t m = 29, n = 3 * ActiveGemmTile<float>().nr + 5, k = 260;
+  Rng rng(13);
+  const auto a = RandomVec<float>(m * k, rng);
+  const auto b = RandomVec<float>(k * n, rng);
+  const auto c0 = RandomVec<float>(m * n, rng);
+  auto c_full = c0;
+  auto c_chunked = c0;
+  gemm<float>(Transpose::kTrans, Transpose::kNo, m, n, k, 0.75f, a.data(),
+              b.data(), -0.5f, c_full.data());
+  // op(A) = a^T: a chunk of rows of op(A) is a column block of a, so
+  // gather it into its own k x rows matrix first.
+  const std::vector<index_t> bounds = {0, 3, 10, 17, 24, m};
+  for (std::size_t chunk = 0; chunk + 1 < bounds.size(); ++chunk) {
+    const index_t i0 = bounds[chunk];
+    const index_t rows = bounds[chunk + 1] - i0;
+    std::vector<float> at(static_cast<std::size_t>(k * rows));
+    for (index_t kk = 0; kk < k; ++kk) {
+      for (index_t i = 0; i < rows; ++i) {
+        at[static_cast<std::size_t>(kk * rows + i)] =
+            a[static_cast<std::size_t>(kk * m + i0 + i)];
+      }
+    }
+    gemm<float>(Transpose::kTrans, Transpose::kNo, rows, n, k, 0.75f,
+                at.data(), b.data(), -0.5f, c_chunked.data() + i0 * n);
+  }
+  EXPECT_EQ(c_full, c_chunked);
+}
+
+TEST(GemmIsa, ActiveTileIsTheActiveIsasTile) {
+  const GemmTileShape tile = ActiveGemmTile<float>();
+  EXPECT_EQ(tile.mr, FloatGemmTile(ActiveGemmIsa()).mr);
+  EXPECT_EQ(tile.nr, FloatGemmTile(ActiveGemmIsa()).nr);
+  EXPECT_EQ(ActiveGemmTile<double>().mr, 4);
+  EXPECT_EQ(ActiveGemmTile<double>().nr, 4);
+}
+
+TEST(GemmIsa, OverrideSelectsNamedIsaUpToTheHosts) {
+  for (const GemmIsa isa :
+       {GemmIsa::kBaseline, GemmIsa::kAvx2, GemmIsa::kAvx512}) {
+    EXPECT_EQ(ParseGemmIsa(GemmIsaName(isa)), isa);
+    EXPECT_EQ(ResolveGemmIsa(GemmIsaName(isa), GemmIsa::kAvx512), isa);
+    EXPECT_EQ(ResolveGemmIsa(nullptr, isa), isa);
+    EXPECT_EQ(ResolveGemmIsa("", isa), isa);
+  }
+  EXPECT_EQ(ResolveGemmIsa("baseline", GemmIsa::kBaseline),
+            GemmIsa::kBaseline);
+}
+
+TEST(GemmIsa, BogusOverrideRaisesError) {
+  EXPECT_THROW(ParseGemmIsa("bogus"), Error);
+  EXPECT_THROW(ResolveGemmIsa("bogus", HostGemmIsa()), Error);
+  EXPECT_THROW(ResolveGemmIsa("AVX512", GemmIsa::kAvx512), Error);
+}
+
+TEST(GemmIsa, IsaTheHostLacksRaisesErrorInsteadOfFaulting) {
+  EXPECT_THROW(ResolveGemmIsa("avx512", GemmIsa::kAvx2), Error);
+  EXPECT_THROW(ResolveGemmIsa("avx2", GemmIsa::kBaseline), Error);
 }
 
 TEST(Gemm, LargeKExercisesBlocking) {

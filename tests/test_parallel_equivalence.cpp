@@ -29,6 +29,7 @@ struct NetState {
   std::vector<std::vector<float>> blob_data;
   std::vector<std::vector<float>> blob_diff;
   std::vector<std::vector<float>> param_diff;
+  std::vector<std::string> param_layer_type;  // type of the owning layer
 };
 
 NetState CaptureState(const Net<float>& net) {
@@ -42,6 +43,16 @@ NetState CaptureState(const Net<float>& net) {
   for (const auto* p : net.learnable_params()) {
     const float* g = p->cpu_diff();
     s.param_diff.emplace_back(g, g + p->count());
+  }
+  s.param_layer_type.resize(s.param_diff.size());
+  const auto& params = net.learnable_params();
+  for (const auto& layer : net.layers()) {
+    for (const auto& b : layer->blobs()) {
+      const auto it = std::find(params.begin(), params.end(), b.get());
+      if (it == params.end()) continue;
+      s.param_layer_type[static_cast<std::size_t>(it - params.begin())] =
+          layer->type();
+    }
   }
   return s;
 }
@@ -100,6 +111,20 @@ void ExpectParamDiffsClose(const NetState& a, const NetState& b,
       EXPECT_NEAR(got, ref, tol) << "param " << p << " element " << i;
     }
   }
+}
+
+// InnerProduct partitions its parameter gradients by output row, not by
+// sample: nothing is merged, so they must match the serial GEMM bit for bit.
+void ExpectInnerProductParamDiffsBitEqual(const NetState& a,
+                                          const NetState& b) {
+  ASSERT_EQ(a.param_diff.size(), b.param_diff.size());
+  int checked = 0;
+  for (std::size_t p = 0; p < a.param_diff.size(); ++p) {
+    if (a.param_layer_type[p] != "InnerProduct") continue;
+    EXPECT_EQ(a.param_diff[p], b.param_diff[p]) << "param " << p;
+    ++checked;
+  }
+  EXPECT_GT(checked, 0);
 }
 
 // Per-element sum over threads of |private gradient part| for every
@@ -205,6 +230,7 @@ TEST_P(ParallelEquivalence, LeNetActivationsBitIdenticalToSerial) {
       RunOnce(LeNetParam(), GetParam(), parallel::GradientMerge::kOrdered);
   ExpectActivationsBitEqual(serial, parallel_run);
   ExpectParamDiffsClose(serial, parallel_run, 1e-4);
+  ExpectInnerProductParamDiffsBitEqual(serial, parallel_run);
 }
 
 TEST_P(ParallelEquivalence, CifarActivationsBitIdenticalToSerial) {
@@ -213,6 +239,7 @@ TEST_P(ParallelEquivalence, CifarActivationsBitIdenticalToSerial) {
       RunOnce(CifarParam(), GetParam(), parallel::GradientMerge::kOrdered);
   ExpectActivationsBitEqual(serial, parallel_run);
   ExpectParamDiffsClose(serial, parallel_run, 1e-4);
+  ExpectInnerProductParamDiffsBitEqual(serial, parallel_run);
 }
 
 TEST_P(ParallelEquivalence, OrderedMergeBitReproducibleAcrossRuns) {
@@ -266,6 +293,7 @@ TEST_P(PerLayerThreadSweep, LeNetIndivisibleBatchBitIdentical) {
       RunOnce(param, GetParam(), parallel::GradientMerge::kOrdered);
   ExpectActivationsBitEqualNamed(serial, parallel_run, names);
   ExpectParamDiffsClose(serial, parallel_run, 1e-4);
+  ExpectInnerProductParamDiffsBitEqual(serial, parallel_run);
 }
 
 TEST_P(PerLayerThreadSweep, CifarIndivisibleBatchBitIdentical) {
@@ -277,6 +305,7 @@ TEST_P(PerLayerThreadSweep, CifarIndivisibleBatchBitIdentical) {
       RunOnce(param, GetParam(), parallel::GradientMerge::kOrdered);
   ExpectActivationsBitEqualNamed(serial, parallel_run, names);
   ExpectParamDiffsClose(serial, parallel_run, 1e-4);
+  ExpectInnerProductParamDiffsBitEqual(serial, parallel_run);
 }
 
 TEST_P(PerLayerThreadSweep, OrderedMergeRunToRunBitEqual) {

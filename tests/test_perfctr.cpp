@@ -8,6 +8,7 @@
 #include <sstream>
 #include <string>
 
+#include "cgdnn/core/gemm_isa.hpp"
 #include "cgdnn/parallel/instrument.hpp"
 #include "cgdnn/perfctr/roofline.hpp"
 #include "cgdnn/trace/counters.hpp"
@@ -350,6 +351,53 @@ TEST_F(PerfctrTest, MachinePeakProbeProducesPositiveCeilings) {
   EXPECT_GT(peak.gflops, 0.0);
   EXPECT_GT(peak.mem_gbps, 0.0);
   EXPECT_GT(peak.RidgeAi(), 0.0);
+  // No reference to judge it against.
+  EXPECT_FALSE(peak.probe_rerun);
+  EXPECT_FALSE(peak.probe_suspect);
+}
+
+TEST_F(PerfctrTest, ProbeBelowItsReferenceIsRerunAndFlagged) {
+  // No host reaches a 1e12 GFLOP/s reference, so the 2-thread reading is
+  // low, re-run once, and still low.
+  MachinePeak unreachable;
+  unreachable.threads = 1;
+  unreachable.gflops = 1e12;
+  unreachable.mem_gbps = 1e12;
+  const MachinePeak low =
+      MeasureMachinePeak(/*threads=*/2, /*gemm_dim=*/48,
+                         /*triad_elems=*/1 << 14, /*reps=*/1, &unreachable);
+  EXPECT_EQ(low.threads, 2);
+  EXPECT_GT(low.gflops, 0.0);
+  EXPECT_GT(low.mem_gbps, 0.0);
+  EXPECT_TRUE(low.probe_rerun);
+  EXPECT_TRUE(low.probe_suspect);
+
+  // Any real reading beats an all-zero reference: one pass, no verdict.
+  MachinePeak floor;
+  floor.threads = 1;
+  const MachinePeak fine =
+      MeasureMachinePeak(/*threads=*/2, /*gemm_dim=*/48,
+                         /*triad_elems=*/1 << 14, /*reps=*/1, &floor);
+  EXPECT_FALSE(fine.probe_rerun);
+  EXPECT_FALSE(fine.probe_suspect);
+
+  // Without a reference nothing is judged.
+  const MachinePeak alone =
+      MeasureMachinePeak(/*threads=*/2, /*gemm_dim=*/48,
+                         /*triad_elems=*/1 << 14, /*reps=*/1);
+  EXPECT_FALSE(alone.probe_rerun);
+  EXPECT_FALSE(alone.probe_suspect);
+}
+
+TEST_F(PerfctrTest, TheoreticalPeakFollowsIsaAndClock) {
+  const double ghz = CpuBaseClockGhz();
+  EXPECT_GE(ghz, 0.0);
+  const MachinePeak peak =
+      MeasureMachinePeak(/*threads=*/1, /*gemm_dim=*/48,
+                         /*triad_elems=*/1 << 14, /*reps=*/1);
+  // Omitted (0) exactly when cpuid leaf 0x16 reports no clock.
+  EXPECT_DOUBLE_EQ(peak.theoretical_gflops,
+                   GemmIsaFlopsPerCycle(ActiveGemmIsa()) * ghz);
 }
 
 // ----- live counters (only on hosts that deliver them) ---------------------

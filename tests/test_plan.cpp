@@ -14,6 +14,7 @@
 #include "cgdnn/blas/blas.hpp"
 #include "cgdnn/blas/direct_conv.hpp"
 #include "cgdnn/blas/im2col.hpp"
+#include "cgdnn/core/gemm_isa.hpp"
 #include "cgdnn/core/rng.hpp"
 #include "cgdnn/data/dataset.hpp"
 #include "cgdnn/data/io.hpp"
@@ -434,6 +435,7 @@ plan::ExecutionPlan MakePlanFixture() {
   p.batch = 7;
   p.threads = 8;
   p.git_sha = "abc1234";
+  p.gemm_isa = "avx2";
   p.gflops = 42.5;
   p.mem_gbps = 11.25;
   p.col_slot_bytes = 8192;
@@ -492,7 +494,8 @@ TEST(PlanCache, RoundTripAndKeyInvalidation) {
   const auto p = MakePlanFixture();
   plan::StorePlan(p, dir);
 
-  plan::PlanCacheKey key{p.net_signature, p.batch, p.threads, p.git_sha};
+  plan::PlanCacheKey key{p.net_signature, p.batch, p.threads, p.git_sha,
+                         p.gemm_isa};
   plan::ExecutionPlan loaded;
   ASSERT_TRUE(plan::LoadCachedPlan(key, dir, &loaded));
   EXPECT_EQ(loaded.ToJson(), p.ToJson());
@@ -510,6 +513,54 @@ TEST(PlanCache, RoundTripAndKeyInvalidation) {
   // A torn/corrupt file degrades to a miss, never a wrong plan.
   data::WriteFileAtomic(plan::PlanCachePath(key, dir), "{\"garbage\": tru");
   EXPECT_FALSE(plan::LoadCachedPlan(key, dir, &loaded));
+}
+
+TEST(PlanCache, PlanMeasuredUnderOneGemmIsaMissesUnderAnother) {
+  // Same checkout, same net, another CGDNN_ISA: the measured im2col-vs-
+  // direct timings were taken with a different kernel, so the plan is a
+  // miss — both for a lookup under another ISA and for a file written
+  // before plans carried the field.
+  const std::string dir = ::testing::TempDir() + "cgdnn_plan_isa_test";
+  std::filesystem::remove_all(dir);
+  auto p = MakePlanFixture();
+  plan::StorePlan(p, dir);
+  plan::PlanCacheKey key{p.net_signature, p.batch, p.threads, p.git_sha,
+                         p.gemm_isa};
+  plan::ExecutionPlan loaded;
+  ASSERT_TRUE(plan::LoadCachedPlan(key, dir, &loaded));
+  EXPECT_EQ(loaded.gemm_isa, "avx2");
+
+  for (const char* other : {"baseline", "avx512"}) {
+    auto other_isa = key;
+    other_isa.gemm_isa = other;
+    EXPECT_FALSE(plan::LoadCachedPlan(other_isa, dir, &loaded)) << other;
+  }
+
+  // A pre-ISA file under the live key's name: the re-verified (empty) ISA
+  // field mismatches, so it is a miss, and the file is left in place.
+  std::string legacy = p.ToJson();
+  const std::string field = "  \"gemm_isa\": \"avx2\",\n";
+  ASSERT_NE(legacy.find(field), std::string::npos);
+  legacy.erase(legacy.find(field), field.size());
+  data::WriteFileAtomic(plan::PlanCachePath(key, dir), legacy);
+  EXPECT_FALSE(plan::LoadCachedPlan(key, dir, &loaded));
+  EXPECT_TRUE(std::filesystem::exists(plan::PlanCachePath(key, dir)));
+}
+
+TEST(PlanCache, BuildPlanStampsTheActiveGemmIsa) {
+  models::ModelOptions o;
+  o.batch_size = 2;
+  o.num_samples = 4;
+  o.with_accuracy = false;
+  SeedGlobalRng(4321);
+  data::ClearDatasetCache();
+  Net<float> net(models::LeNet(o), Phase::kTrain);
+  plan::PlannerOptions opts;
+  opts.threads = 1;
+  opts.use_cache = false;
+  opts.measure = false;
+  EXPECT_EQ(plan::BuildPlan(net, opts).plan.gemm_isa,
+            GemmIsaName(ActiveGemmIsa()));
 }
 
 TEST(PlanCache, WarmHitSkipsMeasurementAndIsFaster) {

@@ -25,6 +25,7 @@ plan::ExecutionPlan FaultPlanFixture() {
   p.batch = 4;
   p.threads = 2;
   p.git_sha = "deadbee";
+  p.gemm_isa = "baseline";
   p.gflops = 12.5;
   p.mem_gbps = 6.25;
   plan::ConvDecision d;
@@ -51,7 +52,7 @@ class PlanCacheFaults : public ::testing::Test {
     std::filesystem::remove_all(dir_);
     plan_ = FaultPlanFixture();
     key_ = plan::PlanCacheKey{plan_.net_signature, plan_.batch,
-                              plan_.threads, plan_.git_sha};
+                              plan_.threads, plan_.git_sha, plan_.gemm_isa};
     path_ = plan::PlanCachePath(key_, dir_);
     plan::StorePlan(plan_, dir_);
     ASSERT_TRUE(std::filesystem::exists(path_));

@@ -166,17 +166,36 @@ int main(int argc, char** argv) {
 
     // Measured machine ceilings at every swept concurrency: the roofline
     // each layer is judged against. (GEMM probe ~dim^3 FLOPs per thread,
-    // triad sized past the LLC; see roofline.hpp.)
+    // triad sized past the LLC, each the best of kProbeReps; a T-thread
+    // reading below the 1-thread one, probed once up front, is re-run once
+    // and flagged if still low; see roofline.hpp.) The ISA-derived
+    // theoretical peak rides beside the achieved probe where cpuid reports
+    // the clock.
+    constexpr int kProbeReps = 5;
     const index_t probe_dim = flags.GetInt("probe-gemm-dim", 192);
     const index_t probe_triad = flags.GetInt("probe-triad-elems", 1 << 22);
+    const perfctr::MachinePeak one_thread =
+        perfctr::MeasureMachinePeak(1, probe_dim, probe_triad, kProbeReps);
     std::map<int, perfctr::MachinePeak> peaks;
     for (const int t : threads) {
-      peaks[t] = perfctr::MeasureMachinePeak(t, probe_dim, probe_triad);
+      const perfctr::MachinePeak& peak = peaks[t] =
+          t <= 1 ? one_thread
+                 : perfctr::MeasureMachinePeak(t, probe_dim, probe_triad,
+                                               kProbeReps, &one_thread);
       std::cerr << "machine peak @" << t << "t: " << std::fixed
-                << std::setprecision(2) << peaks[t].gflops << " GFLOP/s, "
-                << peaks[t].mem_gbps << " GB/s (ridge "
-                << peaks[t].RidgeAi() << " FLOP/B)\n"
-                << std::defaultfloat;
+                << std::setprecision(2) << peak.gflops << " GFLOP/s, "
+                << peak.mem_gbps << " GB/s (ridge " << peak.RidgeAi()
+                << " FLOP/B)";
+      if (peak.theoretical_gflops > 0) {
+        std::cerr << ", theoretical " << peak.theoretical_gflops
+                  << " GFLOP/s";
+      }
+      if (peak.probe_suspect) {
+        std::cerr << " [SUSPECT: below the 1-thread probe after a re-run]";
+      } else if (peak.probe_rerun) {
+        std::cerr << " [re-run: first reading was below 1 thread]";
+      }
+      std::cerr << "\n" << std::defaultfloat;
     }
 
     // --- thread sweep ------------------------------------------------------
@@ -380,7 +399,14 @@ int main(int argc, char** argv) {
         WriteJsonNumber(out, peaks[t].mem_gbps);
         out << ", \"ridge_ai\": ";
         WriteJsonNumber(out, peaks[t].RidgeAi());
-        out << "}";
+        if (peaks[t].theoretical_gflops > 0) {
+          out << ", \"theoretical_gflops\": ";
+          WriteJsonNumber(out, peaks[t].theoretical_gflops);
+        }
+        out << ", \"probe_rerun\": "
+            << (peaks[t].probe_rerun ? "true" : "false")
+            << ", \"probe_suspect\": "
+            << (peaks[t].probe_suspect ? "true" : "false") << "}";
       }
     }
     out << "}},\n";

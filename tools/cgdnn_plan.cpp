@@ -72,7 +72,8 @@ const char* SlotKindName(plan::SlotKind kind) {
 void PrintPlan(const plan::ExecutionPlan& plan, bool explain) {
   std::cout << std::fixed << std::setprecision(2);
   std::cout << "plan for batch=" << plan.batch << " threads=" << plan.threads
-            << " sha=" << plan.git_sha << "\n";
+            << " sha=" << plan.git_sha << " gemm_isa=" << plan.gemm_isa
+            << "\n";
   if (plan.gflops > 0) {
     std::cout << "machine model: " << plan.gflops << " GFLOP/s, "
               << plan.mem_gbps << " GB/s\n";

@@ -80,6 +80,23 @@ def main():
         for key in ("gflops", "mem_gbps", "ridge_ai"):
             if not isinstance(peak.get(key), (int, float)):
                 fail(f"machine.peaks[{t}].{key} missing or non-numeric")
+        # Probe sanity verdicts: a T-thread reading below the 1-thread one
+        # is re-run once (probe_rerun) and flagged if still low.
+        for key in ("probe_rerun", "probe_suspect"):
+            if not isinstance(peak.get(key), bool):
+                fail(f"machine.peaks[{t}].{key} missing or not a boolean")
+        if peak["probe_suspect"] and not peak["probe_rerun"]:
+            fail(f"machine.peaks[{t}]: probe_suspect without probe_rerun")
+        if (peak["probe_rerun"] or peak["probe_suspect"]) and t == "1":
+            fail("machine.peaks[1]: the 1-thread probe has no reference "
+                 "to re-run against")
+        # ISA-derived peak (lanes x FMA ports x clock): omitted when the
+        # CPU does not report its clock (cpuid leaf 0x16 reads 0).
+        if "theoretical_gflops" in peak:
+            theo = peak["theoretical_gflops"]
+            if not isinstance(theo, (int, float)) or theo <= 0:
+                fail(f"machine.peaks[{t}].theoretical_gflops must be a "
+                     "positive number when present")
 
     if not isinstance(data["layers"], list) or not data["layers"]:
         fail("'layers' must be a non-empty list")

@@ -95,8 +95,8 @@ def format_meta(meta):
     """One-line provenance summary from a report's "meta" header."""
     if not isinstance(meta, dict):
         return "(no meta header)"
-    fields = ("git_sha", "build_type", "compiler", "threads", "hostname",
-              "options")
+    fields = ("git_sha", "build_type", "compiler", "gemm_isa", "gemm_tile",
+              "threads", "hostname", "options")
     parts = [f"{k}={meta[k]}" for k in fields if k in meta]
     return " ".join(parts) if parts else "(empty meta header)"
 
@@ -198,6 +198,13 @@ def compare_pair(baseline, current, threshold, label=None, out=sys.stdout):
         # more regressions than real code changes do.
         print(f"baseline meta: {format_meta(base_meta)}", file=out)
         print(f"current meta:  {format_meta(cur_meta)}", file=out)
+        # The GEMM kernel is picked per process (CGDNN_ISA or cpuid): two
+        # runs of one build on different ISAs differ in speed and in bits.
+        isas = [m.get("gemm_isa") if isinstance(m, dict) else None
+                for m in (base_meta, cur_meta)]
+        if isas[0] != isas[1]:
+            print(f"note: GEMM kernel ISA differs (baseline {isas[0]}, "
+                  f"current {isas[1]})", file=out)
     record = {"label": label, "bench": cur_name,
               "baseline": os.fspath(baseline), "current": os.fspath(current),
               "rows": rows_out,

@@ -8,7 +8,9 @@
 #                                       clang -Wthread-safety build when
 #                                       clang++ is installed
 #   3. tools/run_clang_tidy.sh        — clang-tidy, if installed
-#   4. sanitize preset (ASan+UBSan)   — parallel-relevant test suites
+#   4. sanitize preset (ASan+UBSan)   — parallel-relevant test suites, then
+#                                       the GEMM/direct-conv suites once per
+#                                       CGDNN_ISA value the host supports
 #   5. tsan preset (ThreadSanitizer)  — same suites, tsan.supp applied
 #
 # Sanitizer stages build incrementally into build-sanitize/ and build-tsan/.
@@ -144,6 +146,27 @@ run_sanitizer_preset() {  # run_sanitizer_preset <preset> <test-regex>
 note "sanitize preset (ASan+UBSan)"
 run_sanitizer_preset sanitize "${parallel_tests}"
 result "sanitize" $?
+
+note "sanitize preset per GEMM ISA (ASan+UBSan)"
+# Each ISA's microkernel has its own register tile, and the edge-tile
+# stores of the wide AVX2/AVX-512 tiles (masked loads/stores) are where an
+# overrun would hide. CGDNN_ISA picks the kernel per process; run the GEMM
+# and direct-conv suites under every ISA this host can execute. The
+# anchored regex leaves out the isa_<name>. re-registrations, which pin
+# their own CGDNN_ISA.
+gemm_tests='^(Gemm|Shapes/GemmAgainstNaive|Shapes/GemvAgainstNaive|DirectConv|PlanCache)'
+host_isas="baseline"
+if grep -qw avx2 /proc/cpuinfo && grep -qw fma /proc/cpuinfo; then
+  host_isas+=" avx2"
+fi
+grep -qw avx512f /proc/cpuinfo && host_isas+=" avx512"
+isa_status=0
+for isa in ${host_isas}; do
+  echo "-- CGDNN_ISA=${isa}"
+  CGDNN_ISA="${isa}" ctest --preset sanitize -R "${gemm_tests}" \
+    --output-on-failure || isa_status=1
+done
+result "sanitize-per-isa (${host_isas})" ${isa_status}
 
 note "tsan preset (ThreadSanitizer)"
 # Some images ship a gcc without usable libtsan; probe before committing to
